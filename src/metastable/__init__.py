@@ -101,6 +101,7 @@ from .sampling import (
     estimate_json,
     simulate_first_hitting,
     validate,
+    validation_json,
     write_times_csv,
 )
 

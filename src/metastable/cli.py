@@ -61,6 +61,7 @@ from .sampling import (
     estimate_json,
     simulate_first_hitting,
     validate,
+    validation_json,
     write_times_csv,
 )
 
@@ -456,13 +457,7 @@ def _cmd_simulate(ns, argv) -> int:
         raise InvariantViolation(doc["error"])
 
     if prediction is not None:
-        report = validate(estimate, prediction)
-        doc["validation"] = {
-            "ratio": report.ratio,
-            "z_score": report.z_score,
-            "verdict": report.verdict,
-            "tolerance": report.tolerance,
-        }
+        doc["validation"] = validation_json(validate(estimate, prediction))
     _write_json(out / "simulate.json", doc)
     _write_manifest(out, ns, argv, outputs)
     return 0

@@ -7,8 +7,12 @@ validation of the closed-form predictions in :mod:`metastable.rates`.
 Every replica owns a counter-based random stream keyed by ``(seed, replica)``,
 so results are bit-identical for a fixed ``(seed, replicas, dt)`` and the
 first ``n`` replicas of a larger run reproduce a smaller run exactly.
-Replicas are advanced as one vectorized map; aggregation uses numpy's
-pairwise summation, so reduction order is fixed and stable.
+Noise is drawn per chunk of ``_CHUNK_STEPS`` steps, laid out as
+``(steps, live replicas, d)`` and scaled by the kick once, so each step reads
+one contiguous slab.  Each step evaluates the gradient on the live replicas
+only; positions, replica ids and the chunk's remaining noise are compacted
+on the steps where a replica hits or is aborted, and on no other step.
+Aggregation uses numpy's pairwise summation, so reduction order is fixed.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ __all__ = [
     "simulate_first_hitting",
     "validate",
     "estimate_json",
+    "validation_json",
     "write_times_csv",
 ]
 
@@ -221,36 +226,26 @@ def simulate_first_hitting(
 
     while done_steps < n_steps and active.size:
         span = min(_CHUNK_STEPS, n_steps - done_steps)
-        noise = np.empty((active.size, span, d))
+        noise = np.empty((span, active.size, d))
         for row, replica in enumerate(active):
-            noise[row] = rngs[replica].standard_normal((span, d))
-        running = np.ones(active.size, dtype=bool)
-        rows = np.arange(active.size)
+            noise[:, row] = rngs[replica].standard_normal((span, d))
+        noise *= kick
         for j in range(span):
-            if rows.size == 0:
-                break
-            moved = (
-                pos[rows]
-                - model.gradient_many(pos[rows]) * config.dt
-                + kick * noise[rows, j]
-            )
-            pos[rows] = moved
-            hit = _in_target(moved, config.target)
-            blown = np.einsum("ij,ij->i", moved, moved) > conf2
-            if hit.any():
-                idx = rows[hit]
-                hit_step[active[idx]] = done_steps + j + 1
-                status[active[idx]] = 1
-                running[idx] = False
-            if blown.any():
-                idx = rows[blown & ~hit]
-                status[active[idx]] = 3
-                running[idx] = False
-            if hit.any() or blown.any():
-                rows = np.nonzero(running)[0]
+            pos = pos - model.gradient_many(pos) * config.dt + noise[j]
+            hit = _in_target(pos, config.target)
+            blown = np.einsum("ij,ij->i", pos, pos) > conf2
+            stop = hit | blown
+            if stop.any():
+                hit_step[active[hit]] = done_steps + j + 1
+                status[active[hit]] = 1
+                status[active[blown & ~hit]] = 3
+                live = ~stop
+                pos, active = pos[live], active[live]
+                if not active.size:
+                    break
+                noise[j + 1 :, : active.size] = noise[j + 1 :, live]
+                noise = noise[:, : active.size]
         done_steps += span
-        pos = pos[running]
-        active = active[running]
 
     status[status == 0] = 2
     aborted = int(np.sum(status == 3))
@@ -356,16 +351,31 @@ def validate(
     return ValidationReport(ratio=ratio, z_score=z_score, verdict=verdict, tolerance=tol)
 
 
+def _json_number(x: float) -> float | None:
+    # strict JSON has no NaN or Infinity; e.g. a run with fewer than two hits
+    return x if math.isfinite(x) else None
+
+
 def estimate_json(estimate: HittingTimeEstimate) -> dict:
-    """JSON-ready summary {mean, stderr, hits, censored, ci95}."""
+    """JSON-ready summary {mean, stderr, hits, censored, ci95}; non-finite values are null."""
     return {
-        "mean": estimate.mean,
-        "stderr": estimate.stderr,
+        "mean": _json_number(estimate.mean),
+        "stderr": _json_number(estimate.stderr),
         "hits": estimate.hit_count,
         "censored": estimate.censored_count,
         "aborted": estimate.aborted_count,
-        "ci95": list(estimate.ci95),
+        "ci95": [_json_number(v) for v in estimate.ci95],
         "eps": estimate.eps,
+    }
+
+
+def validation_json(report: ValidationReport) -> dict:
+    """JSON-ready {ratio, z_score, verdict, tolerance}; non-finite values are null."""
+    return {
+        "ratio": _json_number(report.ratio),
+        "z_score": _json_number(report.z_score),
+        "verdict": report.verdict,
+        "tolerance": _json_number(report.tolerance),
     }
 
 

@@ -422,6 +422,37 @@ def test_simulate_validates_against_the_closed_form_when_asked(tmp_path):
     assert abs(validation["ratio"] - 1.0) <= validation["tolerance"]
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def read_strict_json(tmp_path, name):
+    return json.loads((tmp_path / name).read_text(), parse_constant=_reject_constant)
+
+
+def test_simulate_without_hits_writes_strict_json(tmp_path):
+    with pytest.warns(UserWarning, match="no replica hit"):
+        code = run(tmp_path, *simulate_args(**{"--max-time": "0.5", "--replicas": "4"}))
+    assert code == 3
+    est = read_strict_json(tmp_path, "simulate.json")["estimate"]
+    assert est["hits"] == 0
+    assert est["mean"] is None and est["stderr"] is None
+    assert est["ci95"] == [None, None]
+
+
+def test_simulate_with_one_hit_writes_strict_json(tmp_path):
+    args = simulate_args(**{"--max-time": "200", "--replicas": "1", "--saddle-seed": "0"})
+    assert run(tmp_path, *args) == 0
+    doc = read_strict_json(tmp_path, "simulate.json")
+    est = doc["estimate"]
+    assert est["hits"] == 1
+    assert est["mean"] > 0
+    assert est["stderr"] is None and est["ci95"] == [None, None]
+    assert doc["validation"]["z_score"] is None
+    expected = doc["prediction"]["expected_time"]
+    assert doc["validation"]["ratio"] == pytest.approx(est["mean"] / expected)
+
+
 def test_simulate_zero_replicas_exits_1(tmp_path):
     code = run(tmp_path, *simulate_args(**{"--replicas": "0"}))
     assert code == 1

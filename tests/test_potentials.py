@@ -90,6 +90,65 @@ def test_value_many_matches_value():
     assert np.allclose(grads, [model.gradient(p) for p in pts], rtol=1e-10, atol=1e-12)
 
 
+def _hand_built():
+    # constant term, zero-exponent columns, and no dependence on x_2 (an empty
+    # gradient polynomial along that axis)
+    return PolynomialPotential(
+        [((0, 0, 0), 1.5), ((2, 0, 0), -0.5), ((1, 3, 0), 0.25), ((4, 1, 0), 0.1)], dim=3
+    )
+
+
+KERNEL_MODELS = {
+    "double_well": double_well_1d,
+    "rotated2": lambda: rotated_two_particle(0.6),
+    "hand_built": _hand_built,
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+def test_polynomial_batch_rows_match_pointwise_calls(name):
+    model = KERNEL_MODELS[name]()
+    pts = np.random.default_rng(5).uniform(-1.8, 1.8, size=(33, model.dim))
+    values = model.value_many(pts)
+    grads = model.gradient_many(pts)
+    assert values.shape == (33,) and grads.shape == (33, model.dim)
+    for x, v, g in zip(pts, values, grads):
+        assert v == pytest.approx(model.value(x), rel=1e-14, abs=1e-14)
+        assert np.allclose(g, model.gradient(x), rtol=1e-14, atol=1e-14)
+
+
+def test_hand_built_polynomial_has_an_empty_gradient_polynomial():
+    model = _hand_built()
+    pts = np.random.default_rng(6).uniform(-1, 1, size=(7, 3))
+    assert np.array_equal(model.gradient_many(pts)[:, 2], np.zeros(7))
+    assert model.value(np.zeros(3)) == 1.5
+    assert model.partial(np.ones(3), (2, 2)) == 0.0
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+def test_power_table_kernel_agrees_with_float_powers(name):
+    model = KERNEL_MODELS[name]()
+    pts = np.random.default_rng(8).uniform(-2.0, 2.0, size=(500, model.dim))
+
+    def float_powers(exps, coeffs):
+        # the direct formula prod_i x_i**e_i @ c, and the scale |monomials| @ |c|
+        # against which cancellation is measured
+        monomials = np.prod(pts[:, None, :] ** exps[None, :, :], axis=2)
+        return monomials @ coeffs, np.abs(monomials) @ np.abs(coeffs)
+
+    def close(new, old_and_scale):
+        old, scale = old_and_scale
+        return np.all(np.abs(new - old) <= 1e-12 * scale)
+
+    exps, coeffs = model.exponents, model.coefficients
+    assert close(model.value_many(pts), float_powers(exps, coeffs))
+    grads = model.gradient_many(pts)
+    for axis in range(model.dim):
+        keep = exps[:, axis] > 0
+        d_exps = exps[keep] - np.eye(model.dim, dtype=int)[axis]
+        assert close(grads[:, axis], float_powers(d_exps, coeffs[keep] * exps[keep, axis]))
+
+
 def test_rotated_two_particle_matches_rotated_chain():
     # the quartic polynomial is the N=2 chain expressed in sum/difference modes
     gamma = 0.8

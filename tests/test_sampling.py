@@ -13,6 +13,7 @@ from metastable import (
     HittingTimeEstimate,
     MinimumSpec,
     PitchforkTransverse,
+    PolynomialPotential,
     Quadratic,
     RateResult,
     SaddleSpec,
@@ -28,9 +29,10 @@ from metastable import (
     validate,
     write_times_csv,
 )
-from metastable.sampling import _error_magnitude
+from metastable.sampling import _CHUNK_STEPS, _error_magnitude
 
 WELL = Ball(center=(1.0,), radius=0.2)
+SQ2 = math.sqrt(2.0)
 
 
 def dw_config(**overrides):
@@ -131,6 +133,101 @@ def test_doubling_replicas_reproduces_the_first_half_exactly(dw):
     )
     assert np.array_equal(large.times[:20], small.times, equal_nan=True)
     assert large.statuses[:20] == small.statuses
+
+
+def rotated_config(**overrides):
+    base = dict(
+        eps=0.4,
+        dt=1e-3,
+        max_time=12.0,
+        replicas=8,
+        seed=5,
+        start=(-SQ2, 0.0),
+        target=Ball(center=(SQ2, 0.0), radius=0.5),
+        keep_times=True,
+    )
+    base.update(overrides)
+    return SimulationConfig(**base)
+
+
+def hit_steps(est, dt):
+    return [None if tag != "hit" else round(tau / dt) for tau, tag in zip(est.times, est.statuses)]
+
+
+def test_doubling_replicas_reproduces_the_first_half_in_two_dimensions(rotated_flat):
+    small = simulate_first_hitting(rotated_flat, rotated_config(replicas=4, max_time=8.0))
+    large = simulate_first_hitting(rotated_flat, rotated_config(replicas=8, max_time=8.0))
+    assert np.array_equal(large.times[:4], small.times, equal_nan=True)
+    assert large.statuses[:4] == small.statuses
+
+
+# Hit steps round(tau/dt) of small seeded runs, recorded from the original
+# per-step re-indexing loop; a rewrite of the loop must reproduce them exactly.
+PINNED_DW_STEPS = [1080, 770, 4340, None, 1298, None, 6158, 5954, 3457, 2231]
+PINNED_ROTATED2_STEPS = [None, 1963, 4237, 10705, 5391, 8663, 10535, None]
+
+
+def test_seeded_double_well_run_is_pinned(dw):
+    config = dw_config(eps=0.3, max_time=12.0, replicas=10, seed=2024, keep_times=True)
+    est = simulate_first_hitting(dw, config)
+    assert hit_steps(est, config.dt) == PINNED_DW_STEPS
+    assert est.statuses == tuple("censored" if s is None else "hit" for s in PINNED_DW_STEPS)
+    hits = [s * config.dt for s in PINNED_DW_STEPS if s is not None]
+    assert est.mean == float(np.mean(hits))
+
+
+def test_seeded_rotated2_run_is_pinned(rotated_flat):
+    config = rotated_config()
+    est = simulate_first_hitting(rotated_flat, config)
+    assert hit_steps(est, config.dt) == PINNED_ROTATED2_STEPS
+    assert est.statuses == tuple(
+        "censored" if s is None else "hit" for s in PINNED_ROTATED2_STEPS
+    )
+
+
+def replay(model, config, replica):
+    """One replica stepped alone from its own stream: (status, hit step or None)."""
+    rng = np.random.Generator(np.random.Philox(key=(config.seed << 64) + replica))
+    kick = math.sqrt(2.0 * config.eps * config.dt)
+    n_steps = round(config.max_time / config.dt)
+    x = config.start.copy()
+    (ball,) = config.target
+    for first in range(0, n_steps, _CHUNK_STEPS):
+        span = min(_CHUNK_STEPS, n_steps - first)
+        for j, xi in enumerate(rng.standard_normal((span, model.dim))):
+            x = x - model.gradient(x) * config.dt + kick * xi
+            if np.dot(x - ball.center, x - ball.center) <= ball.radius**2:
+                return "hit", first + j + 1
+            if np.dot(x, x) > config.confinement_radius**2:
+                return "aborted", None
+    return "censored", None
+
+
+def test_mixed_hits_and_aborts_match_replicas_stepped_alone():
+    # a well at 0 with runaway tails beyond |x| = 1: replicas reach the target
+    # at -0.6 or escape over the barrier at +1 and leave the confinement ball
+    leaky = PolynomialPotential([((2,), 0.5), ((4,), -0.25)], dim=1, confining=False)
+    config = SimulationConfig(
+        eps=0.4,
+        dt=1e-3,
+        max_time=10.0,
+        replicas=12,
+        seed=9,
+        start=(0.0,),
+        target=Ball(center=(-0.6,), radius=0.1),
+        confinement_radius=10.0,
+        keep_times=True,
+    )
+    with pytest.warns(UserWarning, match="confinement radius"):
+        est = simulate_first_hitting(leaky, config)
+    assert est.hit_count > 0 and est.aborted_count > 0
+    assert est.hit_count + est.censored_count + est.aborted_count == 12
+    assert est.statuses.count("hit") == est.hit_count
+    assert est.statuses.count("aborted") == est.aborted_count
+    assert [replay(leaky, config, r) for r in range(12)] == list(
+        zip(est.statuses, hit_steps(est, config.dt))
+    )
+    assert est.mean == float(np.mean([t for t in est.times if not math.isnan(t)]))
 
 
 def test_different_seeds_give_different_trajectories(dw):
