@@ -17,6 +17,15 @@ Boxes follow the half-width choices used in the derivations (threshold level
 stationary point.  The contribution from outside the box is dropped, not
 estimated -- it is exponentially small once the box conditions hold, and the
 bounds carry that caveat in their notes.
+
+Both tensor-grid bounds refine on the same ladder of grids (``grid``,
+``2 grid - 1``, ... nodes per axis, up to a cap by dimension), and on a given
+saddle and box the potential on those grids is the same for both.  Passing one
+``levels`` dict to both calls shares it: each bound takes the grids it needs
+from the dict and adds the ones it is first to reach, so a ``verify`` row
+evaluates every level once.  A dict belongs to one (model, saddle, box); the
+caller drops it with the row.  The grid that checks the box conditions is
+evaluated inside each call.
 """
 
 from __future__ import annotations
@@ -342,6 +351,7 @@ def _refine(
     box: BoxSpec,
     grid: int,
     evaluate: Callable[[np.ndarray, list[np.ndarray]], float],
+    levels: dict[int, tuple[np.ndarray, list[np.ndarray]]],
     rel_tol: float = 1e-6,
 ) -> tuple[float, tuple[int, ...], float]:
     d = model.dim
@@ -352,13 +362,17 @@ def _refine(
     cap = _MAX_NODES.get(d)
     if cap is None:
         raise ValueError("tensor-grid bounds support dimensions 1 to 3 only")
-    w, axes = _tensor_w(model, point, widths, [n] * d)
-    value = evaluate(w, axes)
+
+    def level(n: int) -> tuple[np.ndarray, list[np.ndarray]]:
+        if n not in levels:
+            levels[n] = _tensor_w(model, point, widths, [n] * d)
+        return levels[n]
+
+    value = evaluate(*level(n))
     rel = math.inf
     while n < cap:
         n = 2 * n - 1
-        w, axes = _tensor_w(model, point, widths, [n] * d)
-        new = evaluate(w, axes)
+        new = evaluate(*level(n))
         rel = abs(new - value) / max(abs(new), 1e-300)
         value = new
         if rel < rel_tol:
@@ -366,11 +380,44 @@ def _refine(
     return value, (n,) * d, rel
 
 
+def _bound(
+    model: PotentialModel,
+    saddle: StationaryPoint,
+    box: BoxSpec,
+    grid: int,
+    levels: dict | None,
+    method: str,
+    notes: tuple[str, ...],
+    evaluate: Callable[[np.ndarray, list[np.ndarray]], float],
+) -> CapacityEstimate:
+    """Refine ``evaluate`` on the ladder, check the box on a grid of at most
+    65 nodes per axis, and scale by ``exp(-V(z)/eps)``."""
+    eps = box.eps
+    value, shape, rel = _refine(
+        model, saddle, box, grid, evaluate, {} if levels is None else levels
+    )
+    w, _ = _tensor_w(model, saddle, _axis_widths(box, model.dim), [min(s, 65) for s in shape])
+    box_msgs = _box_condition_warnings(w, eps, model.dim, method)
+    for msg in box_msgs:
+        warnings.warn(msg, stacklevel=3)
+    return CapacityEstimate(
+        value=value * math.exp(-saddle.value / eps),
+        method=method,
+        eps=eps,
+        box=box,
+        grid_shape=shape,
+        rel_change=rel,
+        notes=(*notes, *box_msgs),
+    )
+
+
 def dirichlet_upper_bound(
     model: PotentialModel,
     saddle: StationaryPoint,
     box: BoxSpec,
     grid: int = 65,
+    *,
+    levels: dict | None = None,
 ) -> CapacityEstimate:
     """Capacity upper bound from the one-dimensional trial function.
 
@@ -380,10 +427,11 @@ def dirichlet_upper_bound(
     ``eps exp(-V(z)/eps) integral exp(-W/eps) f'(y1)**2 dy`` is a true upper
     bound for the capacity up to quadrature error and the dropped outside-box
     contribution.  Simpson tensor grids are refined (nodes doubled per axis)
-    until the value changes by less than 1e-6 relative.
+    until the value changes by less than 1e-6 relative.  ``levels`` shares
+    the tensor grids with other bounds on the same saddle and box (see the
+    module docstring).
     """
     eps = box.eps
-    notes = ["outside-box contribution dropped (exponentially negligible)"]
 
     def evaluate(w: np.ndarray, axes: list[np.ndarray]) -> float:
         weights = [_simpson_weights(len(a), a[1] - a[0]) for a in axes]
@@ -397,21 +445,8 @@ def dirichlet_upper_bound(
             integrand = integrand @ wt
         return eps * float(integrand)
 
-    value, shape, rel = _refine(model, saddle, box, grid, evaluate)
-    w, _ = _tensor_w(model, saddle, _axis_widths(box, model.dim), [min(s, 65) for s in shape])
-    for msg in _box_condition_warnings(w, eps, model.dim, "dirichlet_upper"):
-        warnings.warn(msg, stacklevel=2)
-        notes.append(msg)
-    scale = math.exp(-saddle.value / eps)
-    return CapacityEstimate(
-        value=value * scale,
-        method="dirichlet_upper",
-        eps=eps,
-        box=box,
-        grid_shape=shape,
-        rel_change=rel,
-        notes=tuple(notes),
-    )
+    notes = ("outside-box contribution dropped (exponentially negligible)",)
+    return _bound(model, saddle, box, grid, levels, "dirichlet_upper", notes, evaluate)
 
 
 def fiber_lower_bound(
@@ -419,6 +454,8 @@ def fiber_lower_bound(
     saddle: StationaryPoint,
     box: BoxSpec,
     grid: int = 65,
+    *,
+    levels: dict | None = None,
 ) -> CapacityEstimate:
     """Capacity lower bound from one-dimensional fiber integrals.
 
@@ -429,14 +466,9 @@ def fiber_lower_bound(
     the trial-function integrand of :func:`dirichlet_upper_bound`, so on a
     shared box and grid the ordering ``lower <= upper`` holds exactly.  Fibers
     are evaluated as one vectorized map in a fixed order, so results are
-    deterministic.
+    deterministic.  ``levels`` is as in :func:`dirichlet_upper_bound`.
     """
     eps = box.eps
-    notes = [
-        "outside-box contribution dropped (exponentially negligible)",
-        "boundary values fixed at 1 and 0; the O(sqrt(eps)) equilibrium-potential "
-        "correction is folded into comparison tolerances",
-    ]
 
     def evaluate(w: np.ndarray, axes: list[np.ndarray]) -> float:
         weights = [_simpson_weights(len(a), a[1] - a[0]) for a in axes]
@@ -448,21 +480,12 @@ def fiber_lower_bound(
             integrand = integrand @ wt
         return eps * float(integrand)
 
-    value, shape, rel = _refine(model, saddle, box, grid, evaluate)
-    w, _ = _tensor_w(model, saddle, _axis_widths(box, model.dim), [min(s, 65) for s in shape])
-    for msg in _box_condition_warnings(w, eps, model.dim, "fiber_lower"):
-        warnings.warn(msg, stacklevel=2)
-        notes.append(msg)
-    scale = math.exp(-saddle.value / eps)
-    return CapacityEstimate(
-        value=value * scale,
-        method="fiber_lower",
-        eps=eps,
-        box=box,
-        grid_shape=shape,
-        rel_change=rel,
-        notes=tuple(notes),
+    notes = (
+        "outside-box contribution dropped (exponentially negligible)",
+        "boundary values fixed at 1 and 0; the O(sqrt(eps)) equilibrium-potential "
+        "correction is folded into comparison tolerances",
     )
+    return _bound(model, saddle, box, grid, levels, "fiber_lower", notes, evaluate)
 
 
 def capacity_1d_exact(

@@ -76,6 +76,10 @@ class InvariantViolation(Exception):
     """A module invariant failed on real data: exit code 3."""
 
 
+class OutOfRange(RuntimeError):
+    """A result underflows or overflows float64: exit code 2."""
+
+
 class _Parser(argparse.ArgumentParser):
     # usage errors exit 1 (argparse defaults to 2, which this tool reserves
     # for numerical non-convergence)
@@ -369,9 +373,16 @@ def _cmd_verify(ns, argv) -> int:
     violation = None
     for eps in _parse_floats(ns.eps):
         box = default_box(model, saddle, eps, scale=ns.box_scale)
-        upper = dirichlet_upper_bound(model, saddle, box, grid=ns.grid_nodes)
-        lower = fiber_lower_bound(model, saddle, box, grid=ns.grid_nodes)
+        levels: dict = {}  # the row's tensor grids, shared by both bounds
+        upper = dirichlet_upper_bound(model, saddle, box, grid=ns.grid_nodes, levels=levels)
+        lower = fiber_lower_bound(model, saddle, box, grid=ns.grid_nodes, levels=levels)
+        del levels
         closed = _closed_rate(_UNIT_MINIMUM, spec, eps).capacity
+        if not all(0.0 < v < math.inf for v in (upper.value, lower.value, closed)):
+            raise OutOfRange(
+                f"capacities at eps={eps} are outside the positive float64 range "
+                f"(upper {upper.value!r}, lower {lower.value!r}, closed form {closed!r})"
+            )
         row = {
             "eps": eps,
             "closed_form": closed,
@@ -573,6 +584,9 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"metastable {ns.command}: invariant violation: {exc}", file=sys.stderr)
         return 3
+    except OutOfRange as exc:
+        print(f"metastable {ns.command}: out of range: {exc}", file=sys.stderr)
+        return 2
     except RuntimeError as exc:
         print(f"metastable {ns.command}: did not converge: {exc}", file=sys.stderr)
         return 2

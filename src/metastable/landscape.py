@@ -12,8 +12,8 @@ of a stationary point:
 * three or more: tagged only, with a heuristic sign report.
 
 For d = 2 an independent grid oracle computes communication heights and gate
-cells by an ascending-threshold union-find sweep (exact min-max on the grid
-graph, 8-connected).
+cells (exact min-max on the 8-connected grid graph) by bisection over sorted
+levels with connected-component labelling.
 """
 
 from __future__ import annotations
@@ -693,26 +693,9 @@ class GateResult:
     warnings: list[str] = field(default_factory=list)
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        p = self.parent
-        while p[i] != i:
-            p[i] = p[p[i]]
-            i = p[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[rj] = ri
-
-
 _NEIGHBORS_8 = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
+_BLOCK_8 = np.ones((3, 3), dtype=bool)
+_RING_8 = np.array([[1, 1, 1], [1, 0, 1], [1, 1, 1]], dtype=bool)
 
 
 def communication_height_2d(
@@ -720,10 +703,18 @@ def communication_height_2d(
 ) -> GateResult:
     """Exact min-max (communication) height between a and b on a 2-D grid graph.
 
-    Cells are activated in ascending order of V; the first activation that
-    connects the components of a and b fixes the height.  Gate cells are the
-    near-height cells adjacent to both strict-sublevel components; the witness
-    path is a BFS path inside the closed sublevel set.
+    The height is the lowest grid value ``h`` at which a and b share an
+    8-connected component of ``{V <= h}``; it is found by bisection over the
+    sorted values, labelling the sublevel set at each probe.  Read as a sweep
+    that activates cells in stable ascending order of V (ties in row-major
+    order), the triggering cell is the first activation after which a and b
+    are connected: the strict sublevel set ``{V < h}`` is labelled once and
+    the cells tied at ``h`` are joined to it one by one in row-major order.
+    The grid tolerance is the largest one-cell variation of V around that
+    cell.  Gate cells are the cells within the tolerance of ``h`` with a
+    neighbour in each endpoint's strict-sublevel component, in row-major
+    order.  The witness path is a breadth-first path from a to b inside
+    ``{V <= h}`` that scans neighbours in ascending flat-index order.
     """
     if model.dim != 2:
         raise ValueError(f"communication_height_2d requires d = 2, got d = {model.dim}")
@@ -741,7 +732,6 @@ def communication_height_2d(
         return (int(np.argmin(np.abs(xs - p[0]))), int(np.argmin(np.abs(ys - p[1]))))
 
     ja, jb = snap(a), snap(b)
-    node = lambda ij: ij[0] * g.ny + ij[1]
 
     if ja == jb:
         cell = np.array([xs[ja[0]], ys[ja[1]]])
@@ -752,25 +742,7 @@ def communication_height_2d(
             grid_tolerance=0.0,
         )
 
-    order = np.argsort(V, axis=None, kind="stable")
-    uf = _UnionFind(g.nx * g.ny)
-    active = np.zeros(g.nx * g.ny, dtype=bool)
-    height = None
-    trigger = None
-    na, nb = node(ja), node(jb)
-    for flat in order:
-        i, j = divmod(int(flat), g.ny)
-        active[flat] = True
-        for di, dj in _NEIGHBORS_8:
-            ii, jj = i + di, j + dj
-            if 0 <= ii < g.nx and 0 <= jj < g.ny and active[ii * g.ny + jj]:
-                uf.union(int(flat), ii * g.ny + jj)
-        if active[na] and active[nb] and uf.find(na) == uf.find(nb):
-            height = float(V[i, j])
-            trigger = (i, j)
-            break
-    if height is None:  # full sweep always connects; defensive only
-        raise RuntimeError("grid sweep failed to connect the endpoints")
+    height, trigger = _first_connecting_cell(V, ja, jb)
 
     # grid tolerance: one-cell variation of V around the triggering cell
     ti, tj = trigger
@@ -782,24 +754,19 @@ def communication_height_2d(
     tol = gate_tol if gate_tol is not None else max(local) + 1e-12 * max(1.0, abs(height))
 
     # witness path: BFS inside {V <= height}
-    path = _bfs_path(V <= height, ja, jb)
-    witness = np.array([[xs[i], ys[j]] for i, j in path])
+    ii, jj = _bfs_path(V <= height, ja, jb)
+    witness = np.column_stack([xs[ii], ys[jj]])
 
     # gate cells: near-height cells adjacent to both strict-sublevel components
     strict = V < height - 1e-12 * max(1.0, abs(height))
-    comp = _label_components(strict)
-    ca = comp[ja] if strict[ja] else 0
-    cb = comp[jb] if strict[jb] else 0
+    comp = _label8(strict)
+    ca, cb = comp[ja], comp[jb]
     gate_cells = []
-    near = np.abs(V - height) <= tol
-    for i, j in zip(*np.nonzero(near)):
-        touches = set()
-        for di, dj in _NEIGHBORS_8:
-            ii, jj = i + di, j + dj
-            if 0 <= ii < g.nx and 0 <= jj < g.ny and comp[ii, jj] > 0:
-                touches.add(int(comp[ii, jj]))
-        if ca > 0 and cb > 0 and ca in touches and cb in touches:
-            gate_cells.append(np.array([xs[i], ys[j]]))
+    if ca > 0 and cb > 0:
+        gate = np.abs(V - height) <= tol
+        gate &= ndimage.binary_dilation(comp == ca, structure=_RING_8)
+        gate &= ndimage.binary_dilation(comp == cb, structure=_RING_8)
+        gate_cells = [np.array([xs[i], ys[j]]) for i, j in zip(*np.nonzero(gate))]
     if not gate_cells:
         # degenerate fallback (e.g. endpoint at the gate level): use the trigger cell
         gate_cells = [np.array([xs[ti], ys[tj]])]
@@ -820,29 +787,95 @@ def communication_height_2d(
     )
 
 
-def _label_components(mask: np.ndarray) -> np.ndarray:
-    lab, _ = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
-    return lab
+def _label8(mask: np.ndarray) -> np.ndarray:
+    return ndimage.label(mask, structure=_BLOCK_8)[0]
 
 
-def _bfs_path(mask: np.ndarray, start, goal) -> list[tuple[int, int]]:
-    from collections import deque
+def _first_connecting_cell(V: np.ndarray, ja, jb) -> tuple[float, tuple[int, int]]:
+    """Height and cell of the first activation, in stable ascending order of
+    V, after which ``ja`` and ``jb`` lie in one 8-connected component."""
+    values = np.sort(V, axis=None)
+
+    def joined(k: int) -> bool:
+        lab = _label8(V <= values[k])
+        return lab[ja] != 0 and lab[ja] == lab[jb]
+
+    # the endpoints themselves are active only from max(V[ja], V[jb]) on
+    lo = int(np.searchsorted(values, max(V[ja], V[jb]), side="left"))
+    hi = values.size - 1
+    if not joined(hi):  # the full grid always connects; defensive only
+        raise RuntimeError("grid sweep failed to connect the endpoints")
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if joined(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    height = float(values[lo])
+
+    # cells tied at the height activate in flat order, which is their stable
+    # order; union them with the strict-sublevel components they touch until
+    # the endpoints' sets meet
+    comp = _label8(V < height)
+    parent = list(range(int(comp.max()) + 1))
+    node = {}  # tied cell -> union-find node
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def label(cell):
+        return node.get(cell) if comp[cell] == 0 else int(comp[cell])
+
+    nx, ny = V.shape
+    for i, j in zip(*np.nonzero(V == height)):
+        cell = (int(i), int(j))
+        node[cell] = len(parent)
+        parent.append(node[cell])
+        for di, dj in _NEIGHBORS_8:
+            ii, jj = cell[0] + di, cell[1] + dj
+            if 0 <= ii < nx and 0 <= jj < ny:
+                other = label((ii, jj))
+                if other is not None:
+                    parent[find(other)] = find(node[cell])
+        la, lb = label(ja), label(jb)
+        if la is not None and lb is not None and find(la) == find(lb):
+            return height, cell
+    raise RuntimeError("no tied cell connects the endpoints; inconsistent sweep state")
+
+
+def _bfs_path(mask: np.ndarray, start, goal) -> tuple[np.ndarray, np.ndarray]:
+    """Cells of a BFS path from ``start`` to ``goal`` inside ``mask``.
+
+    Neighbours are visited in ``_NEIGHBORS_8`` order, which is ascending in
+    flat offset, so each CSR row lists its columns in the order a FIFO
+    breadth-first search would scan them.
+    """
+    # imported here: csgraph adds about 1 MB and 5 ms to every start-up,
+    # and only the gate search uses it
+    from scipy.sparse import csgraph, csr_array
 
     nx, ny = mask.shape
-    prev = {start: None}
-    q = deque([start])
-    while q:
-        cur = q.popleft()
-        if cur == goal:
-            path = []
-            while cur is not None:
-                path.append(cur)
-                cur = prev[cur]
-            return path[::-1]
-        i, j = cur
-        for di, dj in _NEIGHBORS_8:
-            ii, jj = i + di, j + dj
-            if 0 <= ii < nx and 0 <= jj < ny and mask[ii, jj] and (ii, jj) not in prev:
-                prev[(ii, jj)] = cur
-                q.append((ii, jj))
-    raise RuntimeError("no path inside the sublevel set; inconsistent sweep state")
+    edges = np.zeros((nx, ny, len(_NEIGHBORS_8)), dtype=bool)
+    for k, (di, dj) in enumerate(_NEIGHBORS_8):
+        src = (slice(max(0, -di), nx - max(0, di)), slice(max(0, -dj), ny - max(0, dj)))
+        dst = (slice(max(0, di), nx + min(0, di)), slice(max(0, dj), ny + min(0, dj)))
+        edges[src + (k,)] = mask[src] & mask[dst]
+    rows, ks = np.nonzero(edges.reshape(nx * ny, -1))
+    offsets = np.array([di * ny + dj for di, dj in _NEIGHBORS_8])
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nx * ny))])
+    graph = csr_array(
+        (np.ones(rows.size), rows + offsets[ks], indptr), shape=(nx * ny, nx * ny)
+    )
+    a, b = start[0] * ny + start[1], goal[0] * ny + goal[1]
+    _, pred = csgraph.breadth_first_order(
+        graph, a, directed=True, return_predecessors=True
+    )
+    if pred[b] < 0:
+        raise RuntimeError("no path inside the sublevel set; inconsistent sweep state")
+    path = [b]
+    while path[-1] != a:
+        path.append(int(pred[path[-1]]))
+    return np.divmod(np.array(path[::-1]), ny)

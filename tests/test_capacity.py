@@ -1,6 +1,8 @@
 """Tests for the quadrature capacity routes against the closed forms."""
 
+import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from metastable import (
     SaddleSpec,
     StationaryPoint,
     capacity_1d_exact,
+    chain_potential,
     Codim2,
     default_box,
     dirichlet_upper_bound,
@@ -26,6 +29,7 @@ from metastable import (
     reduced_capacity,
     verification_report,
 )
+from metastable.cli import main
 
 UNIT_MIN = MinimumSpec(value=0.0, hessian_det=1.0)
 
@@ -214,6 +218,44 @@ def test_one_dimensional_routes_agree(dw):
         lambda t: float(dw.value(np.array([t]))), -box.delta1, box.delta1, eps
     )
     assert upper.value == pytest.approx(exact.value, rel=1e-6)
+
+
+@pytest.mark.parametrize("name, eps", [("chain3", 0.06), ("rotated2", 0.03), ("double_well", 0.04)])
+def test_shared_ladder_gives_the_bounds_computed_alone(name, eps, rotated_flat, dw):
+    model = {"chain3": chain_potential(3, 1.0), "rotated2": rotated_flat, "double_well": dw}[name]
+    pt = StationaryPoint.at(model, np.zeros(model.dim))
+    box = default_box(model, pt, eps)
+    alone = (dirichlet_upper_bound(model, pt, box), fiber_lower_bound(model, pt, box))
+    levels = {}
+    shared = (
+        dirichlet_upper_bound(model, pt, box, levels=levels),
+        fiber_lower_bound(model, pt, box, levels=levels),
+    )
+    # value, grid_shape, rel_change and notes (and method, eps, box)
+    assert shared == alone
+    deepest = max(est.grid_shape[0] for est in alone)
+    assert sorted(levels) == [n for n in (65, 129, 257, 513, 1025, 2049, 4097, 8193) if n <= deepest]
+
+
+def test_verify_row_evaluates_each_ladder_level_once(tmp_path, monkeypatch):
+    rows = []
+    value_many = PolynomialPotential.value_many
+
+    def counted(self, pts):
+        rows.append(len(pts))
+        return value_many(self, pts)
+
+    monkeypatch.setattr(PolynomialPotential, "value_many", counted)
+    # from 17 nodes the upper bound settles at 65 per axis, the lower bound at 129
+    code = main([
+        "verify", "--potential", "rotated2", "--params", "gamma=0.75", "--saddle-seed", "0,0",
+        "--eps", "0.05", "--grid-nodes", "17", "--out", str(tmp_path),
+    ])
+    assert code == 0
+    assert json.loads((tmp_path / "verify.json").read_text())["results"][0]["grid"] == [65, 65]
+    ladder = [17, 33, 65, 129]
+    checks = [65, 65]  # one box-condition grid per bound
+    assert Counter(rows) == Counter(n * n for n in ladder + checks)
 
 
 def test_tensor_bounds_reject_dimension_above_three():

@@ -353,6 +353,24 @@ def test_verify_with_a_non_saddle_seed_exits_2(tmp_path):
     assert code == 2
 
 
+def test_verify_underflowing_capacities_exit_2_without_a_traceback(tmp_path, capsys):
+    # saddle at the origin, altitude 3: exp(-3/eps) underflows to 0 at eps = 0.002
+    pot = tmp_path / "high_saddle.json"
+    pot.write_text(json.dumps({"dimension": 2, "terms": [
+        {"exponents": [0, 0], "coeff": 3.0},
+        {"exponents": [2, 0], "coeff": -0.5},
+        {"exponents": [4, 0], "coeff": 0.25},
+        {"exponents": [0, 2], "coeff": 0.5},
+    ]}))
+    code = run(tmp_path, "verify", "--potential", str(pot), "--saddle-seed", "0.01,0", "--eps", "0.002")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    message = [line for line in err.splitlines() if line.startswith("metastable verify:")]
+    assert len(message) == 1 and "eps=0.002" in message[0]
+    assert not (tmp_path / "verify.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

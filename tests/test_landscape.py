@@ -2,13 +2,18 @@
 
 import json
 import math
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from metastable import (
     GridSpec2D,
     NormalFormCodim1,
+    PotentialModel,
     NormalFormCodim2,
     PolynomialPotential,
     SaddleTag,
@@ -302,6 +307,150 @@ def test_communication_height_input_validation(rotated_quadratic, dw):
         communication_height_2d(dw, [0.0], [1.0], grid)
     with pytest.raises(TypeError):
         communication_height_2d(rotated_quadratic, [0, 0], [1, 0], "not-a-grid")
+
+
+# Full results on a 129^2 grid, recorded on the union-find sweep the current
+# search replaced.  Grid coordinates are -2.5 + k * 5/128, exact in binary, so
+# cells are pinned by index: gates all lie at x index 64 (x = 0) and the
+# witness runs over x indices 28..100 with the y indices listed.  At
+# gamma = 0.45 the two saddles tie; the first in stable order (y < 0) wins.
+PINNED_GATES = {
+    0.45: (-0.004970475565642117, 0.000551354606704546, [51, 52, 53, 54, 74, 75, 76, 77],
+           [64, 63, 62, 61, 60, 59, 58, 57, 56, 55, 54, 53, 52, 51, 50, 49, 48, 47, 46,
+            46, 46, 46, 46, 46, 46, 46, 46, 46, 46, 47, 47, 48, 49, 50, 51, 52, 53, 52,
+            51, 50, 49, 48, 47, 47, 46, 46, 46, 46, 46, 46, 46, 46, 46, 46, 46, 47, 48,
+            49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60, 61, 62, 63, 64]),
+    0.5: (0.0, 0.0007626484158204327, list(range(57, 72)),
+          [64, 63, 62, 61, 60, 59, 58, 57, 56, 55, 54, 53, 52, 51, 50, 49, 48, 47, 46,
+           47, 48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60, 61, 62, 63, 64, 63,
+           62, 61, 60, 59, 58, 57, 56, 55, 54, 53, 52, 51, 50, 49, 48, 47, 46, 47, 48,
+           49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60, 61, 62, 63, 64]),
+    0.6: (0.0, 0.0007626484158204327, [62, 63, 64, 65, 66],
+          [64, 63, 62, 61, 60, 59, 58, 57, 56, 55, 54, 53, 52, 51, 50, 49, 48, 48, 48,
+           48, 48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60, 61, 62, 63, 64, 63,
+           62, 61, 60, 59, 58, 57, 56, 55, 54, 53, 52, 51, 50, 49, 48, 48, 48, 48, 48,
+           49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60, 61, 62, 63, 64]),
+}
+
+
+@pytest.mark.parametrize("gamma", sorted(PINNED_GATES))
+def test_communication_height_pinned_results(gamma):
+    height, tol, gate_j, path_j = PINNED_GATES[gamma]
+    res = communication_height_2d(
+        rotated_two_particle(gamma),
+        [-math.sqrt(2.0), 0.0],
+        [math.sqrt(2.0), 0.0],
+        {"bounds": [(-2.5, 2.5), (-2.5, 2.5)], "shape": (129, 129)},
+    )
+    xs = np.linspace(-2.5, 2.5, 129)
+    assert res.communication_height == height
+    assert res.grid_tolerance == tol
+    assert res.warnings == []
+    assert len(res.gate_cells) == len(gate_j)
+    for cell, j in zip(res.gate_cells, gate_j):
+        assert np.array_equal(cell, [xs[64], xs[j]])
+    assert np.array_equal(res.path_witness, np.column_stack([xs[28:101], xs[path_j]]))
+
+
+class _Table(PotentialModel):
+    """A table of values at the integer points of [0, nx-1] x [0, ny-1]."""
+
+    def __init__(self, table):
+        super().__init__(2)
+        self.table = table
+
+    def value_many(self, pts):
+        i, j = np.rint(np.asarray(pts)).astype(int).T
+        return self.table[i, j]
+
+
+def _sweep_oracle(V, ja, jb):
+    """The union-find sweep, witness BFS and per-cell gate loop, written out
+    cell by cell: (height, tolerance, gate cells, path, boundary warning),
+    cells as grid indices."""
+    nx, ny = V.shape
+    nbrs = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
+    inside = lambda i, j: 0 <= i < nx and 0 <= j < ny
+    if ja == jb:
+        return float(V[ja]), 0.0, [ja], [ja], False
+    parent = list(range(nx * ny))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    active = np.zeros(nx * ny, dtype=bool)
+    na, nb = ja[0] * ny + ja[1], jb[0] * ny + jb[1]
+    for flat in np.argsort(V, axis=None, kind="stable"):
+        i, j = divmod(int(flat), ny)
+        active[flat] = True
+        for di, dj in nbrs:
+            if inside(i + di, j + dj) and active[(i + di) * ny + j + dj]:
+                parent[find((i + di) * ny + j + dj)] = find(int(flat))
+        if active[na] and active[nb] and find(na) == find(nb):
+            break
+    height, (ti, tj) = float(V[i, j]), (i, j)
+    local = [abs(V[ti + di, tj + dj] - V[ti, tj]) for di, dj in nbrs if inside(ti + di, tj + dj)]
+    tol = max(local) + 1e-12 * max(1.0, abs(height))
+
+    prev, queue = {ja: None}, deque([ja])
+    while jb not in prev:
+        i, j = queue.popleft()
+        for di, dj in nbrs:
+            c = (i + di, j + dj)
+            if inside(*c) and V[c] <= height and c not in prev:
+                prev[c] = (i, j)
+                queue.append(c)
+    path, c = [], jb
+    while c is not None:
+        path.append(c)
+        c = prev[c]
+
+    strict = V < height - 1e-12 * max(1.0, abs(height))
+    comp = -np.ones(V.shape, dtype=int)  # flood-fill labels of the strict set
+    for start in zip(*np.nonzero(strict)):
+        if comp[start] >= 0:
+            continue
+        comp[start], stack = start[0] * ny + start[1], [start]
+        while stack:
+            i, j = stack.pop()
+            for di, dj in nbrs:
+                c = (i + di, j + dj)
+                if inside(*c) and strict[c] and comp[c] < 0:
+                    comp[c] = comp[start]
+                    stack.append(c)
+    gates = []
+    if strict[ja] and strict[jb]:
+        for i, j in zip(*np.nonzero(np.abs(V - height) <= tol)):
+            touches = {comp[i + di, j + dj] for di, dj in nbrs if inside(i + di, j + dj)}
+            if comp[ja] in touches and comp[jb] in touches:
+                gates.append((i, j))
+    rim = min(V[0, :].min(), V[-1, :].min(), V[:, 0].min(), V[:, -1].min())
+    return height, float(tol), gates or [(ti, tj)], path[::-1], height >= rim
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    table=hnp.arrays(np.int8, st.tuples(st.integers(1, 33), st.integers(2, 33)), elements=st.integers(0, 4)),
+    ends=st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1), st.floats(0, 1)),
+)
+def test_communication_height_matches_a_union_find_sweep(table, ends):
+    # values on a coarse lattice force ties between cells and plateaus
+    V = table * 0.375 - 0.5
+    nx, ny = V.shape
+    ja = (int(ends[0] * (nx - 1)), int(ends[1] * (ny - 1)))
+    jb = (int(ends[2] * (nx - 1)), int(ends[3] * (ny - 1)))
+    res = communication_height_2d(
+        _Table(V), ja, jb, {"bounds": [(0, nx - 1), (0, ny - 1)], "shape": (nx, ny)}
+    )
+    height, tol, gates, path, warns = _sweep_oracle(V, ja, jb)
+    assert res.communication_height == height
+    assert res.grid_tolerance == tol
+    assert [tuple(c) for c in res.gate_cells] == gates
+    assert [tuple(c) for c in res.path_witness] == path
+    assert len(res.warnings) == warns
 
 
 def test_grid_spec_covering():
