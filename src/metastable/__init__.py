@@ -47,6 +47,7 @@ from .landscape import (
     codim2_form,
     communication_height_2d,
     find_stationary_points,
+    saddle_spec,
 )
 from .rates import (
     Codim2,
@@ -62,6 +63,8 @@ from .rates import (
     SaddleSpec,
     Sombrero,
     SplitSaddles,
+    UNIT_MINIMUM,
+    closed_rate,
     combine_gates,
     doublezero_time,
     ek_classical,

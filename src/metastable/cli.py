@@ -26,28 +26,20 @@ from .capacity import capacity_1d_exact, default_box, dirichlet_upper_bound, fib
 from .crossover import CROSSOVER_FUNCTIONS, evaluate
 from .landscape import (
     SaddleClass,
-    SaddleTag,
     StationaryPoint,
-    Verdict,
     classification_report,
     classify,
-    codim2_form,
     find_stationary_points,
+    saddle_spec,
 )
 from .potentials import PotentialModel, load_potential
 from .rates import (
     SWEEP_FIELDS,
-    Codim2,
+    UNIT_MINIMUM,
     MinimumSpec,
-    PitchforkLongitudinal,
-    PitchforkTransverse,
-    Quadratic,
     RateResult,
     SaddleSpec,
-    ek_classical,
-    ek_codim2,
-    pitchfork_longitudinal_time,
-    pitchfork_transverse_time,
+    closed_rate,
     sweep_doublezero,
     sweep_longitudinal,
     sweep_sombrero,
@@ -212,43 +204,6 @@ def _converge(model: PotentialModel, seed: np.ndarray, what: str) -> StationaryP
 # classification -> rate-formula specs
 
 
-def _saddle_spec(
-    model: PotentialModel, saddle: StationaryPoint, fail: type[Exception]
-) -> tuple[SaddleSpec, SaddleClass]:
-    """Map a classified saddle onto the regime the rate formulas expect."""
-    sc = classify(model, saddle)
-    if sc.verdict is not Verdict.SADDLE:
-        raise fail(
-            f"seed classified as {sc.tag.value}/{sc.verdict.value}; "
-            "closed-form rates need a saddle"
-        )
-    evs = saddle.eigenvalues
-    zeros = set(saddle.zero_indices)
-    positive = tuple(float(v) for i, v in enumerate(evs) if i not in zeros and v > 0)
-
-    if sc.tag is SaddleTag.NONDEGENERATE_SADDLE:
-        regime, unstable = Quadratic(), -float(evs[0])
-    elif sc.tag is SaddleTag.CODIM1:
-        soft = float(evs[sc.detail.soft_index])
-        quartic = float(sc.detail.C4)
-        if quartic > 0:
-            regime, unstable = PitchforkTransverse(lambda2=soft, quartic=quartic), -float(evs[0])
-        else:
-            regime, unstable = PitchforkLongitudinal(lambda1=soft, quartic=-quartic), None
-    elif sc.tag is SaddleTag.CODIM2:
-        nf2 = codim2_form(model, saddle)
-        regime, unstable = Codim2(angular=nf2.k_phi), -float(evs[0])
-    else:
-        raise fail(f"no closed-form rate is wired up for tag {sc.tag.value}")
-    spec = SaddleSpec(
-        value=saddle.value,
-        regime=regime,
-        stable_eigenvalues=positive,
-        unstable_eigenvalue=unstable,
-    )
-    return spec, sc
-
-
 def _rate_specs(
     model: PotentialModel, minimum: StationaryPoint, saddle: StationaryPoint
 ) -> tuple[MinimumSpec, SaddleSpec, SaddleClass]:
@@ -257,20 +212,11 @@ def _rate_specs(
     min_spec = MinimumSpec(
         value=minimum.value, eigenvalues=tuple(float(v) for v in minimum.eigenvalues)
     )
-    spec, sc = _saddle_spec(model, saddle, UsageError)
+    try:
+        spec, sc = saddle_spec(model, saddle)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     return min_spec, spec, sc
-
-
-_RATE_OPS = {
-    Quadratic: ek_classical,
-    PitchforkTransverse: pitchfork_transverse_time,
-    PitchforkLongitudinal: pitchfork_longitudinal_time,
-    Codim2: ek_codim2,
-}
-
-
-def _closed_rate(min_spec: MinimumSpec, spec: SaddleSpec, eps: float) -> RateResult:
-    return _RATE_OPS[type(spec.regime)](min_spec, spec, eps)
 
 
 def _rate_row(result: RateResult) -> dict:
@@ -318,18 +264,20 @@ def _cmd_rate(ns, argv) -> int:
     min_spec, spec, sc = _rate_specs(model, minimum, saddle)
     doc = {
         "classification": {"tag": sc.tag.value, "verdict": sc.verdict.value},
-        "results": [_rate_row(_closed_rate(min_spec, spec, e)) for e in _parse_floats(ns.eps)],
+        "results": [_rate_row(closed_rate(min_spec, spec, e)) for e in _parse_floats(ns.eps)],
     }
     _write_json(out / "rate.json", doc)
     _write_manifest(out, ns, argv, ["rate.json"])
     return 0
 
 
+# scenario -> (sweep, the options it takes); options the user leaves unset
+# keep the library defaults
 _SWEEPS = {
-    "transverse": (sweep_transverse, 0.5),
-    "longitudinal": (sweep_longitudinal, 0.5),
-    "doublezero": (sweep_doublezero, None),
-    "sombrero": (sweep_sombrero, 0.125),
+    "transverse": (sweep_transverse, ("quartic",)),
+    "longitudinal": (sweep_longitudinal, ("quartic",)),
+    "doublezero": (sweep_doublezero, ("angular",)),
+    "sombrero": (sweep_sombrero, ("quartic", "gate_pairs")),
 }
 
 
@@ -338,17 +286,9 @@ def _cmd_sweep(ns, argv) -> int:
         raise UsageError("--eps is required")
     out = _out_dir(ns)
     values = _parse_grid(ns.grid)
-    rows: list[tuple] = []
-    fn, default_quartic = _SWEEPS[ns.scenario]
-    for eps in _parse_floats(ns.eps):
-        kwargs: dict = {}
-        if ns.scenario in ("transverse", "longitudinal", "sombrero"):
-            kwargs["quartic"] = ns.quartic if ns.quartic is not None else default_quartic
-        if ns.scenario == "doublezero":
-            kwargs["angular"] = ns.angular
-        if ns.scenario == "sombrero":
-            kwargs["gate_pairs"] = ns.gate_pairs
-        rows.extend(fn(eps, values, **kwargs))
+    fn, options = _SWEEPS[ns.scenario]
+    kwargs = {k: getattr(ns, k) for k in options if getattr(ns, k) is not None}
+    rows = [row for eps in _parse_floats(ns.eps) for row in fn(eps, values, **kwargs)]
     outputs = []
     if ns.format == "csv":
         _write_csv(out / "sweep.csv", SWEEP_FIELDS, ([row[f] for f in SWEEP_FIELDS] for row in rows))
@@ -368,7 +308,10 @@ def _cmd_verify(ns, argv) -> int:
         raise UsageError("--eps is required")
     out = _out_dir(ns)
     saddle = _converge(model, _parse_vector(ns.saddle_seed), "saddle")
-    spec, sc = _saddle_spec(model, saddle, RuntimeError)
+    try:
+        spec, sc = saddle_spec(model, saddle)
+    except ValueError as exc:
+        raise RuntimeError(str(exc)) from exc
     rows = []
     violation = None
     for eps in _parse_floats(ns.eps):
@@ -377,7 +320,7 @@ def _cmd_verify(ns, argv) -> int:
         upper = dirichlet_upper_bound(model, saddle, box, grid=ns.grid_nodes, levels=levels)
         lower = fiber_lower_bound(model, saddle, box, grid=ns.grid_nodes, levels=levels)
         del levels
-        closed = _closed_rate(_UNIT_MINIMUM, spec, eps).capacity
+        closed = closed_rate(UNIT_MINIMUM, spec, eps).capacity
         if not all(0.0 < v < math.inf for v in (upper.value, lower.value, closed)):
             raise OutOfRange(
                 f"capacities at eps={eps} are outside the positive float64 range "
@@ -410,11 +353,6 @@ def _cmd_verify(ns, argv) -> int:
     if violation:
         raise InvariantViolation(violation)
     return 0
-
-
-# capacities depend only on the gate; a unit placeholder minimum feeds the
-# closed-form evaluator when the starting well is irrelevant
-_UNIT_MINIMUM = MinimumSpec(value=0.0, hessian_det=1.0)
 
 
 def _cmd_simulate(ns, argv) -> int:
@@ -455,7 +393,7 @@ def _cmd_simulate(ns, argv) -> int:
         minimum = _converge(model, start, "minimum (from start)")
         saddle = _converge(model, _parse_vector(ns.saddle_seed), "saddle")
         min_spec, spec, _ = _rate_specs(model, minimum, saddle)
-        prediction = _closed_rate(min_spec, spec, eps)
+        prediction = closed_rate(min_spec, spec, eps)
         doc["prediction"] = _rate_row(prediction)
 
     if estimate.censored_fraction > 0.10:
@@ -528,9 +466,9 @@ def _build_parser() -> _Parser:
     common(p, potential=False)
     p.add_argument("--scenario", required=True, choices=sorted(_SWEEPS))
     p.add_argument("--grid", required=True, help="control values: start:stop:count or comma list")
-    p.add_argument("--quartic", type=float, default=None)
-    p.add_argument("--angular", type=float, default=0.5)
-    p.add_argument("--gate-pairs", type=int, default=3)
+    p.add_argument("--quartic", type=float)
+    p.add_argument("--angular", type=float)
+    p.add_argument("--gate-pairs", type=int)
 
     p = sub.add_parser("verify", help="quadrature capacity bounds vs closed form")
     common(p)

@@ -222,6 +222,13 @@ def _chi_closed(alpha: float) -> float:
 # public crossover functions
 
 
+def _resolve_route(alpha: float, route: str) -> str:
+    """The route ``route="auto"`` stands for at ``alpha``; other routes pass through."""
+    if route == "auto":
+        return "quadrature" if alpha < _ROUTE_SWITCH else "closed_form"
+    return route
+
+
 def _dispatch(alpha, route, closed, quadrature) -> float:
     alpha = float(alpha)
     if alpha < 0:
@@ -229,8 +236,7 @@ def _dispatch(alpha, route, closed, quadrature) -> float:
             f"crossover functions take alpha >= 0, got {alpha}; "
             "map negative eigenvalues through the appropriate case split first"
         )
-    if route == "auto":
-        route = "quadrature" if alpha < _ROUTE_SWITCH else "closed_form"
+    route = _resolve_route(alpha, route)
     if route == "closed_form":
         return closed(alpha)
     if route == "quadrature":
@@ -280,7 +286,5 @@ def evaluate(name: str, alpha: float, route: str = "auto") -> CrossoverEval:
         raise ValueError(
             f"unknown crossover function {name!r}; choose from {sorted(CROSSOVER_FUNCTIONS)}"
         ) from None
-    resolved = route
-    if route == "auto":
-        resolved = "quadrature" if float(alpha) < _ROUTE_SWITCH else "closed_form"
-    return CrossoverEval(alpha=float(alpha), value=fn(alpha, route), route=resolved)
+    alpha = float(alpha)
+    return CrossoverEval(alpha=alpha, value=fn(alpha, route), route=_resolve_route(alpha, route))

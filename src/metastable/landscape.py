@@ -28,6 +28,7 @@ import numpy as np
 from scipy import ndimage, optimize
 
 from .potentials import PotentialModel
+from .rates import Codim2, PitchforkLongitudinal, PitchforkTransverse, Quadratic, SaddleSpec
 
 __all__ = [
     "SaddleTag",
@@ -44,6 +45,7 @@ __all__ = [
     "codim2_form",
     "communication_height_2d",
     "classification_report",
+    "saddle_spec",
 ]
 
 logger = logging.getLogger(__name__)
@@ -215,11 +217,14 @@ class SaddleClass:
 # -- codim 1 -----------------------------------------------------------------
 
 
-def _nf_tensors(model, point):
+def _raw_tensors(model, point):
+    # third/fourth derivative tensors in the model's coordinates
+    return model.third_tensor(point.location), model.fourth_tensor(point.location)
+
+
+def _nf_tensors(point, T3, T4):
     # third/fourth derivative tensors rotated into the eigenbasis
     Q = point.eigenvectors
-    T3 = model.third_tensor(point.location)
-    T4 = model.fourth_tensor(point.location)
     T3 = np.einsum("abc,ai,bj,ck->ijk", T3, Q, Q, Q)
     T4 = np.einsum("abcd,ai,bj,ck,dl->ijkl", T4, Q, Q, Q, Q)
     return T3, T4
@@ -236,6 +241,10 @@ def codim1_coefficients(
     quartic one corrected for coupling to the nonzero directions:
     ``C4 = V1111 - (1/2) sum_j V11j^2 / lambda_j``.
     """
+    return _codim1_form(point, zero_tol, *_raw_tensors(model, point))
+
+
+def _codim1_form(point: StationaryPoint, zero_tol: float | None, T3, T4) -> NormalFormCodim1:
     zeros = (
         point.zero_indices
         if zero_tol is None
@@ -247,7 +256,7 @@ def codim1_coefficients(
         )
     i0 = zeros[0]
     lam = point.eigenvalues
-    T3, T4 = _nf_tensors(model, point)
+    T3, T4 = _nf_tensors(point, T3, T4)
     C3 = T3[i0, i0, i0] / 6.0
     C4 = T4[i0, i0, i0, i0] / 24.0
     lambda2 = None
@@ -277,7 +286,7 @@ def _codim2_analysis(
 ) -> NormalFormCodim2:
     ia, ib = zeros
     lam = point.eigenvalues
-    T3, T4 = _nf_tensors(model, point)
+    T3, T4 = _nf_tensors(point, *_raw_tensors(model, point))
 
     # cubic coefficients on the null space (multinomial-normalized)
     cub = {
@@ -471,15 +480,11 @@ def classify(
     return _classify_higher(model, point, zeros)
 
 
-def _coeff_zero_tol(model, point) -> float:
-    T3 = model.third_tensor(point.location)
-    T4 = model.fourth_tensor(point.location)
-    return 1e-8 * max(1.0, float(np.max(np.abs(T3))), float(np.max(np.abs(T4))))
-
-
 def _classify_codim1(model, point, i0, n_neg, probe_higher) -> SaddleClass:
-    nf = codim1_coefficients(model, point)
-    tol = _coeff_zero_tol(model, point)
+    # the raw tensors feed both the normal form and the coefficient tolerance
+    T3, T4 = _raw_tensors(model, point)
+    nf = _codim1_form(point, None, T3, T4)
+    tol = 1e-8 * max(1.0, float(np.max(np.abs(T3))), float(np.max(np.abs(T4))))
     unstable_present = n_neg == 1
 
     if abs(nf.C3) > tol:
@@ -621,7 +626,10 @@ def _classify_higher(model, point, zeros) -> SaddleClass:
 
 
 def classification_report(point: StationaryPoint, sc: SaddleClass) -> dict:
-    """JSON-serializable summary of a classified stationary point."""
+    """JSON-serializable summary of a classified stationary point.
+
+    Non-finite values (such as ``K-``/``K+`` of a cubic codim-2 form) are ``None``.
+    """
     doc = {
         "location": [float(v) for v in point.location],
         "value": point.value,
@@ -648,7 +656,52 @@ def classification_report(point: StationaryPoint, sc: SaddleClass) -> dict:
         }
     if sc.notes:
         doc["notes"] = list(sc.notes)
-    return doc
+    return _finite_or_null(doc)
+
+
+def _finite_or_null(obj):
+    """``obj`` with every non-finite float replaced by ``None`` (strict JSON has no NaN)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
+def saddle_spec(model: PotentialModel, point: StationaryPoint) -> tuple[SaddleSpec, SaddleClass]:
+    """Map a classified saddle onto the regime the closed-form rates expect.
+
+    Returns the spec together with the classification it was read from.
+    Raises ``ValueError`` when ``point`` is not a saddle or its gate has no
+    closed form wired up, including a codim-2 gate whose cubic terms on the
+    null space do not vanish.
+    """
+    sc = classify(model, point)
+    if sc.verdict is not Verdict.SADDLE:
+        raise ValueError(
+            f"seed classified as {sc.tag.value}/{sc.verdict.value}; "
+            "closed-form rates need a saddle"
+        )
+    evs = point.eigenvalues
+    zeros = set(point.zero_indices)
+    positive = tuple(float(v) for i, v in enumerate(evs) if i not in zeros and v > 0)
+    unstable = -float(evs[0])
+    if sc.tag is SaddleTag.NONDEGENERATE_SADDLE:
+        regime = Quadratic()
+    elif sc.tag is SaddleTag.CODIM1:
+        soft = float(evs[sc.detail.soft_index])
+        quartic = float(sc.detail.C4)
+        if quartic > 0:
+            regime = PitchforkTransverse(lambda2=soft, quartic=quartic)
+        else:
+            regime, unstable = PitchforkLongitudinal(lambda1=soft, quartic=-quartic), None
+    elif sc.tag is SaddleTag.CODIM2:
+        regime = Codim2(angular=codim2_form(model, point).k_phi)
+    else:
+        raise ValueError(f"no closed-form rate is wired up for tag {sc.tag.value}")
+    return SaddleSpec(point.value, regime, positive, unstable), sc
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,8 @@ __all__ = [
     "pitchfork_longitudinal_time",
     "doublezero_time",
     "sombrero_time",
+    "closed_rate",
+    "UNIT_MINIMUM",
     "combine_gates",
     "relative_discrepancy",
     "higher_codim_capacity_order",
@@ -231,29 +233,6 @@ Regime = Union[
     Sombrero,
 ]
 
-# number of Hessian directions absorbed by the regime itself (the remaining
-# directions are listed in SaddleSpec.stable_eigenvalues)
-_SOFT_DIMS = {
-    Quadratic: 1,
-    FlatUnstable: 1,
-    FlatStable: 2,
-    Codim2: 3,
-    PitchforkTransverse: 2,
-    PitchforkLongitudinal: 1,
-    DoubleZero: 3,
-    Sombrero: 3,
-}
-
-# regimes whose unstable direction is quadratic and enters through |lambda_1|
-_NEEDS_UNSTABLE = (
-    Quadratic,
-    FlatStable,
-    Codim2,
-    PitchforkTransverse,
-    DoubleZero,
-    Sombrero,
-)
-
 
 def _check_flat_order(p: object) -> None:
     if not isinstance(p, int) or isinstance(p, bool) or p < 2:
@@ -313,6 +292,11 @@ class MinimumSpec:
         return float(self.hessian_det)
 
 
+# placeholder minimum (value 0, unit Hessian determinant): the sweeps' default,
+# and the minimum paired with a gate when only its capacity matters
+UNIT_MINIMUM = MinimumSpec(value=0.0, hessian_det=1.0)
+
+
 @dataclass(frozen=True)
 class SaddleSpec:
     """Gate description: altitude, regime, and the quadratic part of the spectrum.
@@ -348,7 +332,10 @@ class SaddleSpec:
                 "stable eigenvalues must be strictly positive; zero or negative "
                 "eigenvalues belong to a degenerate regime"
             )
-        if isinstance(self.regime, _NEEDS_UNSTABLE):
+        entry = _REGIMES.get(type(self.regime))
+        if entry is None:
+            raise ValueError(f"unknown regime type {type(self.regime).__name__}")
+        if entry[1]:
             if self.unstable_eigenvalue is None or not self.unstable_eigenvalue > 0.0:
                 raise ValueError(
                     "unstable_eigenvalue must be the positive magnitude |lambda_1| "
@@ -362,7 +349,7 @@ class SaddleSpec:
 
     @property
     def dimension(self) -> int:
-        return _SOFT_DIMS[type(self.regime)] + len(self.stable_eigenvalues)
+        return _REGIMES[type(self.regime)][0] + len(self.stable_eigenvalues)
 
     @property
     def stable_product(self) -> float:
@@ -421,21 +408,27 @@ def _result(
     )
 
 
-def _check_regime(saddle: SaddleSpec, kind: type, op: str) -> Regime:
+def _setup(
+    minimum: MinimumSpec, saddle: SaddleSpec, eps: float, kind: type
+) -> tuple[float, Regime, float | None, float, int]:
+    """Checks every rate operation starts with.
+
+    Returns ``(eps, regime, |lambda_1| or None, stable product, dimension)``.
+    """
+    eps = _check_eps(eps)
     if not isinstance(saddle.regime, kind):
         raise ValueError(
-            f"{op} requires a SaddleSpec with regime {kind.__name__}, "
-            f"got {type(saddle.regime).__name__}"
+            f"{_REGIMES[kind][2].__name__} requires a SaddleSpec with regime "
+            f"{kind.__name__}, got {type(saddle.regime).__name__}"
         )
-    return saddle.regime
-
-
-def _check_minimum_dim(minimum: MinimumSpec, saddle: SaddleSpec) -> None:
-    if minimum.eigenvalues is not None and len(minimum.eigenvalues) != saddle.dimension:
+    d = saddle.dimension
+    if minimum.eigenvalues is not None and len(minimum.eigenvalues) != d:
         raise ValueError(
             f"minimum lists {len(minimum.eigenvalues)} eigenvalues but the saddle "
-            f"implies dimension {saddle.dimension}"
+            f"implies dimension {d}"
         )
+    lam1 = saddle.unstable_eigenvalue
+    return eps, saddle.regime, None if lam1 is None else float(lam1), saddle.stable_product, d
 
 
 def _flat_error(p: int) -> str:
@@ -509,12 +502,7 @@ def ek_classical(minimum: MinimumSpec, saddle: SaddleSpec, eps: float) -> RateRe
         ``prefactor = (2*pi/|lambda_1|) * sqrt(|det Hess(z)| / det Hess(x))``
         and the matching capacity.
     """
-    eps = _check_eps(eps)
-    _check_regime(saddle, Quadratic, "ek_classical")
-    _check_minimum_dim(minimum, saddle)
-    lam1 = float(saddle.unstable_eigenvalue)
-    prod = saddle.stable_product
-    d = saddle.dimension
+    eps, _, lam1, prod, d = _setup(minimum, saddle, eps, Quadratic)
     prefactor = (TWO_PI / lam1) * math.sqrt(lam1 * prod / minimum.det)
     cap_pref = math.sqrt((TWO_PI * eps) ** d * lam1 / prod) / TWO_PI
     return _result("classical", eps, minimum, saddle, prefactor, cap_pref, _CLASSICAL_ERROR)
@@ -527,12 +515,8 @@ def ek_flat_unstable(minimum: MinimumSpec, saddle: SaddleSpec, eps: float) -> Ra
     ``c = regime.coefficient``.  The prefactor carries ``eps**(-(p-1)/(2p))``,
     so the subexponential order *grows* as ``eps`` shrinks.
     """
-    eps = _check_eps(eps)
-    regime = _check_regime(saddle, FlatUnstable, "ek_flat_unstable")
-    _check_minimum_dim(minimum, saddle)
+    eps, regime, _, prod, d = _setup(minimum, saddle, eps, FlatUnstable)
     p, c = regime.p, regime.coefficient
-    prod = saddle.stable_product
-    d = saddle.dimension
     gamma = math.gamma(1.0 / (2 * p))
     root = c ** (1.0 / (2 * p))
     prefactor = (
@@ -553,13 +537,8 @@ def ek_flat_stable(minimum: MinimumSpec, saddle: SaddleSpec, eps: float) -> Rate
     prefactor carries ``eps**(+(p-1)/(2p))`` (the flat stable direction widens
     the gate, shortening the time as noise grows).
     """
-    eps = _check_eps(eps)
-    regime = _check_regime(saddle, FlatStable, "ek_flat_stable")
-    _check_minimum_dim(minimum, saddle)
+    eps, regime, lam1, prod, d = _setup(minimum, saddle, eps, FlatStable)
     p, c = regime.p, regime.coefficient
-    lam1 = float(saddle.unstable_eigenvalue)
-    prod = saddle.stable_product
-    d = saddle.dimension
     gamma = math.gamma(1.0 / (2 * p))
     root = c ** (1.0 / (2 * p))
     prefactor = (
@@ -582,13 +561,8 @@ def ek_codim2(minimum: MinimumSpec, saddle: SaddleSpec, eps: float) -> RateResul
     the angular profile enters through ``I_p = integral k(phi)**(-1/p) dphi``,
     evaluated adaptively (closed form for constant ``k``).
     """
-    eps = _check_eps(eps)
-    regime = _check_regime(saddle, Codim2, "ek_codim2")
-    _check_minimum_dim(minimum, saddle)
+    eps, regime, lam1, prod, d = _setup(minimum, saddle, eps, Codim2)
     p = regime.p
-    lam1 = float(saddle.unstable_eigenvalue)
-    prod = saddle.stable_product
-    d = saddle.dimension
     i_p = _angular_integral(regime.angular, -1.0 / p)
     gamma = math.gamma(1.0 / p)
     prefactor = (
@@ -679,6 +653,28 @@ def longitudinal_saddles(lambda1: float, quartic: float) -> SplitSaddles:
     )
 
 
+def _window_edge(value: float, window: float) -> bool:
+    """Whether ``value`` sits on the crossover window edge ``window``."""
+    return abs(value - window) <= 1e-9 * window
+
+
+def _classical_note(
+    text: str,
+    prefactor: float,
+    minimum: MinimumSpec,
+    comparison: SaddleSpec,
+    eps: float,
+    gates: int = 1,
+    arrangement: str = "parallel",
+) -> str:
+    """``text`` followed by the relative gap between ``prefactor`` and ``gates``
+    classical gates of spec ``comparison``, for a crossover law at a window edge."""
+    classical = ek_classical(minimum, comparison, eps)
+    classical = combine_gates(classical, gates, arrangement=arrangement)
+    disc = abs(prefactor - classical.prefactor) / max(prefactor, classical.prefactor)
+    return f"{text} prefactor discrepancy {disc:.3e}"
+
+
 def pitchfork_transverse_time(minimum: MinimumSpec, saddle: SaddleSpec, eps: float) -> RateResult:
     """Crossover law through a transverse pitchfork bifurcation.
 
@@ -688,38 +684,18 @@ def pitchfork_transverse_time(minimum: MinimumSpec, saddle: SaddleSpec, eps: flo
     spectrum ``mu_3..mu_d``), with the ``psi_minus`` correction accounting for
     the two parallel gates.
     """
-    eps = _check_eps(eps)
-    regime = _check_regime(saddle, PitchforkTransverse, "pitchfork_transverse_time")
-    _check_minimum_dim(minimum, saddle)
-    lam1 = float(saddle.unstable_eigenvalue)
-    prod = saddle.stable_product
-    d = saddle.dimension
+    eps, regime, lam1, prod, d = _setup(minimum, saddle, eps, PitchforkTransverse)
     a = math.sqrt(2.0 * eps * regime.quartic)
-    notes: list[str] = []
     if regime.lambda2 >= 0.0:
         if regime.mu2 is not None:
             raise ValueError("mu2 applies only to the post-bifurcation branch (lambda2 < 0)")
         soft = regime.lambda2
         psi = psi_plus(soft / a)
         tag = "pitchfork-transverse"
-        window = soft_window(eps)
-        if abs(soft - window) <= 1e-9 * window:
-            classical = ek_classical(
-                minimum,
-                SaddleSpec(
-                    value=saddle.value,
-                    regime=Quadratic(),
-                    stable_eigenvalues=(soft,) + saddle.stable_eigenvalues,
-                    unstable_eigenvalue=lam1,
-                ),
-                eps,
-            )
-            pref = TWO_PI * math.sqrt((soft + a) * prod / (lam1 * minimum.det)) / psi
-            disc = abs(pref - classical.prefactor) / max(pref, classical.prefactor)
-            notes.append(
-                f"at the upper crossover boundary lambda2 = sqrt(eps |log eps|); "
-                f"classical-branch prefactor discrepancy {disc:.3e}"
-            )
+        edge, gates = soft, 1
+        edge_text = (
+            "at the upper crossover boundary lambda2 = sqrt(eps |log eps|); classical-branch"
+        )
     else:
         if regime.mu2 is None:
             raise ValueError(
@@ -731,27 +707,18 @@ def pitchfork_transverse_time(minimum: MinimumSpec, saddle: SaddleSpec, eps: flo
         soft = regime.mu2
         psi = psi_minus(soft / a)
         tag = "pitchfork-transverse-split"
-        window = soft_window(eps)
-        if abs(-regime.lambda2 - window) <= 1e-9 * window:
-            classical = ek_classical(
-                minimum,
-                SaddleSpec(
-                    value=saddle.value,
-                    regime=Quadratic(),
-                    stable_eigenvalues=(soft,) + saddle.stable_eigenvalues,
-                    unstable_eigenvalue=lam1,
-                ),
-                eps,
-            )
-            pair = combine_gates(classical, 2, arrangement="parallel")
-            pref = TWO_PI * math.sqrt((soft + a) * prod / (lam1 * minimum.det)) / psi
-            disc = abs(pref - pair.prefactor) / max(pref, pair.prefactor)
-            notes.append(
-                f"at the lower crossover boundary lambda2 = -sqrt(eps |log eps|); "
-                f"two-gate classical prefactor discrepancy {disc:.3e}"
-            )
+        edge, gates = -regime.lambda2, 2
+        edge_text = (
+            "at the lower crossover boundary lambda2 = -sqrt(eps |log eps|); two-gate classical"
+        )
     prefactor = TWO_PI * math.sqrt((soft + a) * prod / (lam1 * minimum.det)) / psi
     cap_pref = math.sqrt(TWO_PI ** (d - 2) * lam1 / ((soft + a) * prod)) * psi * eps ** (d / 2)
+    notes = ()
+    if _window_edge(edge, soft_window(eps)):
+        comparison = replace(
+            saddle, regime=Quadratic(), stable_eigenvalues=(soft,) + saddle.stable_eigenvalues
+        )
+        notes = (_classical_note(edge_text, prefactor, minimum, comparison, eps, gates),)
     return _result(
         tag, eps, minimum, saddle, prefactor, cap_pref, _crossover_error("|lambda2|"), notes
     )
@@ -768,37 +735,16 @@ def pitchfork_longitudinal_time(
     must describe the split saddles (altitude ``V(z+-) = V(z) + lambda1**2/(16 C4)``,
     spectrum ``mu_2..mu_d``), crossed in series.
     """
-    eps = _check_eps(eps)
-    regime = _check_regime(saddle, PitchforkLongitudinal, "pitchfork_longitudinal_time")
-    _check_minimum_dim(minimum, saddle)
-    prod = saddle.stable_product
-    d = saddle.dimension
+    eps, regime, _, prod, d = _setup(minimum, saddle, eps, PitchforkLongitudinal)
     a = math.sqrt(2.0 * eps * regime.quartic)
-    notes: list[str] = []
     if regime.lambda1 <= 0.0:
         if regime.mu1 is not None:
             raise ValueError("mu1 applies only to the post-bifurcation branch (lambda1 > 0)")
         soft = -regime.lambda1
         psi = psi_plus(soft / a)
         tag = "pitchfork-longitudinal"
-        window = soft_window(eps)
-        if abs(soft - window) <= 1e-9 * window:
-            classical = ek_classical(
-                minimum,
-                SaddleSpec(
-                    value=saddle.value,
-                    regime=Quadratic(),
-                    stable_eigenvalues=saddle.stable_eigenvalues,
-                    unstable_eigenvalue=soft,
-                ),
-                eps,
-            )
-            pref = TWO_PI * math.sqrt(prod / ((soft + a) * minimum.det)) * psi
-            disc = abs(pref - classical.prefactor) / max(pref, classical.prefactor)
-            notes.append(
-                f"at the crossover boundary |lambda1| = sqrt(eps |log eps|); "
-                f"classical-branch prefactor discrepancy {disc:.3e}"
-            )
+        edge, gates = soft, 1
+        edge_text = "at the crossover boundary |lambda1| = sqrt(eps |log eps|); classical-branch"
     else:
         if regime.mu1 is None:
             raise ValueError(
@@ -810,27 +756,14 @@ def pitchfork_longitudinal_time(
         soft = -regime.mu1
         psi = psi_minus(soft / a)
         tag = "pitchfork-longitudinal-split"
-        window = soft_window(eps)
-        if abs(regime.lambda1 - window) <= 1e-9 * window:
-            classical = ek_classical(
-                minimum,
-                SaddleSpec(
-                    value=saddle.value,
-                    regime=Quadratic(),
-                    stable_eigenvalues=saddle.stable_eigenvalues,
-                    unstable_eigenvalue=soft,
-                ),
-                eps,
-            )
-            pair = combine_gates(classical, 2, arrangement="series")
-            pref = TWO_PI * math.sqrt(prod / ((soft + a) * minimum.det)) * psi
-            disc = abs(pref - pair.prefactor) / max(pref, pair.prefactor)
-            notes.append(
-                f"at the crossover boundary lambda1 = sqrt(eps |log eps|); "
-                f"two-gate series prefactor discrepancy {disc:.3e}"
-            )
+        edge, gates = regime.lambda1, 2
+        edge_text = "at the crossover boundary lambda1 = sqrt(eps |log eps|); two-gate series"
     prefactor = TWO_PI * math.sqrt(prod / ((soft + a) * minimum.det)) * psi
     cap_pref = math.sqrt(TWO_PI ** (d - 2) * (soft + a) / prod) * eps ** (d / 2) / psi
+    notes = ()
+    if _window_edge(edge, soft_window(eps)):
+        comparison = replace(saddle, regime=Quadratic(), unstable_eigenvalue=soft)
+        notes = (_classical_note(edge_text, prefactor, minimum, comparison, eps, gates, "series"),)
     return _result(
         tag, eps, minimum, saddle, prefactor, cap_pref, _crossover_error("|lambda1|"), notes
     )
@@ -847,15 +780,10 @@ def doublezero_time(minimum: MinimumSpec, saddle: SaddleSpec, eps: float) -> Rat
     negative ``lambda2`` is rejected: the ring of developed dips is the regime
     of :func:`sombrero_time`.
     """
-    eps = _check_eps(eps)
-    regime = _check_regime(saddle, DoubleZero, "doublezero_time")
-    _check_minimum_dim(minimum, saddle)
-    lam1 = float(saddle.unstable_eigenvalue)
-    prod = saddle.stable_product
-    d = saddle.dimension
+    eps, regime, lam1, prod, d = _setup(minimum, saddle, eps, DoubleZero)
     lam2 = float(regime.lambda2)
     window = soft_window(eps)
-    notes: list[str] = []
+    notes = ()
     if lam2 >= 0.0:
         denom = _angular_mean(
             regime.angular,
@@ -863,23 +791,6 @@ def doublezero_time(minimum: MinimumSpec, saddle: SaddleSpec, eps: float) -> Rat
             / (lam2 + math.sqrt(2.0 * eps * k)),
         )
         tag = "doublezero"
-        if abs(lam2 - window) <= 1e-9 * window:
-            classical = ek_classical(
-                minimum,
-                SaddleSpec(
-                    value=saddle.value,
-                    regime=Quadratic(),
-                    stable_eigenvalues=(lam2, lam2) + saddle.stable_eigenvalues,
-                    unstable_eigenvalue=lam1,
-                ),
-                eps,
-            )
-            pref = TWO_PI * math.sqrt(prod / (lam1 * minimum.det)) / denom
-            disc = abs(pref - classical.prefactor) / max(pref, classical.prefactor)
-            notes.append(
-                f"at the upper crossover boundary lambda2 = sqrt(eps |log eps|); "
-                f"classical-branch prefactor discrepancy {disc:.3e}"
-            )
     else:
         if lam2 < -window * (1.0 + 1e-9):
             raise ValueError(
@@ -894,14 +805,24 @@ def doublezero_time(minimum: MinimumSpec, saddle: SaddleSpec, eps: float) -> Rat
             * math.exp(lam2**2 / (16.0 * eps * k)),
         )
         tag = "doublezero-negative"
-        if abs(-lam2 - window) <= 1e-9 * window:
-            notes.append(
+        if _window_edge(-lam2, window):
+            notes = (
                 "at the lower validity edge lambda2 = -sqrt(eps |log eps|); the "
                 "sombrero regime adjoins (compare against sombrero_time via "
-                "relative_discrepancy)"
+                "relative_discrepancy)",
             )
     prefactor = TWO_PI * math.sqrt(prod / (lam1 * minimum.det)) / denom
     cap_pref = math.sqrt(TWO_PI ** (d - 2) * lam1 / prod) * denom * eps ** (d / 2)
+    if lam2 >= 0.0 and _window_edge(lam2, window):
+        comparison = replace(
+            saddle,
+            regime=Quadratic(),
+            stable_eigenvalues=(lam2, lam2) + saddle.stable_eigenvalues,
+        )
+        edge_text = (
+            "at the upper crossover boundary lambda2 = sqrt(eps |log eps|); classical-branch"
+        )
+        notes = (_classical_note(edge_text, prefactor, minimum, comparison, eps),)
     return _result(
         tag, eps, minimum, saddle, prefactor, cap_pref, _crossover_error("|lambda2|"), notes
     )
@@ -917,12 +838,7 @@ def sombrero_time(minimum: MinimumSpec, saddle: SaddleSpec, eps: float) -> RateR
     ``chi(mu2 mu3 / ((2M)**2 8 eps C4))`` interpolate between the flat-ring,
     rotation-invariant, and ``2M``-discrete-gates regimes.
     """
-    eps = _check_eps(eps)
-    regime = _check_regime(saddle, Sombrero, "sombrero_time")
-    _check_minimum_dim(minimum, saddle)
-    lam1 = float(saddle.unstable_eigenvalue)
-    prod = saddle.stable_product
-    d = saddle.dimension
+    eps, regime, lam1, prod, d = _setup(minimum, saddle, eps, Sombrero)
     two_m = 2 * regime.gate_pairs
     b = 8.0 * eps * regime.quartic
     theta = theta_minus(regime.mu3 / math.sqrt(b))
@@ -941,6 +857,27 @@ def sombrero_time(minimum: MinimumSpec, saddle: SaddleSpec, eps: float) -> RateR
     return _result(
         "sombrero", eps, minimum, saddle, prefactor, cap_pref, _crossover_error("mu2")
     )
+
+
+# regime class -> (Hessian directions the regime absorbs, whether |lambda_1|
+# enters through SaddleSpec.unstable_eigenvalue, rate operation).  Rows are
+# plain tuples: the perfbench span tracer rebinds functions inside tuple values
+# of module dicts and rebuilds them as plain tuples.
+_REGIMES = {
+    Quadratic: (1, True, ek_classical),
+    FlatUnstable: (1, False, ek_flat_unstable),
+    FlatStable: (2, True, ek_flat_stable),
+    Codim2: (3, True, ek_codim2),
+    PitchforkTransverse: (2, True, pitchfork_transverse_time),
+    PitchforkLongitudinal: (1, False, pitchfork_longitudinal_time),
+    DoubleZero: (3, True, doublezero_time),
+    Sombrero: (3, True, sombrero_time),
+}
+
+
+def closed_rate(minimum: MinimumSpec, saddle: SaddleSpec, eps: float) -> RateResult:
+    """Evaluate the rate operation that belongs to ``saddle.regime``."""
+    return _REGIMES[type(saddle.regime)][2](minimum, saddle, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -1019,20 +956,34 @@ SWEEP_FIELDS = (
 )
 
 
-def _sweep_row(control: float, result: RateResult) -> dict:
-    return {
-        "control_parameter": float(control),
-        "eps": result.eps,
-        "barrier": result.barrier,
-        "prefactor": result.prefactor,
-        "expected_time": result.expected_time,
-        "regime_tag": result.regime_tag,
-        "error_order": result.error_order,
-    }
+def _sweep(
+    eps: float,
+    values: Sequence[float],
+    minimum: MinimumSpec | None,
+    barrier: float,
+    saddle_at: Callable[[float, float], SaddleSpec],
+) -> list[dict]:
+    """Rows of :data:`SWEEP_FIELDS`, one per control value in input order.
 
-
-def _default_minimum(minimum: MinimumSpec | None) -> MinimumSpec:
-    return MinimumSpec(value=0.0, hessian_det=1.0) if minimum is None else minimum
+    ``saddle_at(control, altitude)`` builds the gate for one control value,
+    where ``altitude = minimum.value + barrier`` is the unshifted gate altitude.
+    """
+    minimum = UNIT_MINIMUM if minimum is None else minimum
+    altitude = minimum.value + barrier
+    rows = []
+    for control in values:
+        control = float(control)
+        result = closed_rate(minimum, saddle_at(control, altitude), eps)
+        rows.append({
+            "control_parameter": control,
+            "eps": result.eps,
+            "barrier": result.barrier,
+            "prefactor": result.prefactor,
+            "expected_time": result.expected_time,
+            "regime_tag": result.regime_tag,
+            "error_order": result.error_order,
+        })
+    return rows
 
 
 def sweep_transverse(
@@ -1053,25 +1004,15 @@ def sweep_transverse(
     :func:`pitchfork_saddles` is used, including the lowered altitude.  Rows
     follow the input order and carry the fields in :data:`SWEEP_FIELDS`.
     """
-    minimum = _default_minimum(minimum)
-    rows = []
-    for lam2 in lambda2_values:
-        lam2 = float(lam2)
+
+    def saddle_at(lam2: float, altitude: float) -> SaddleSpec:
         if lam2 >= 0.0:
-            regime = PitchforkTransverse(lambda2=lam2, quartic=quartic)
-            value = minimum.value + barrier
-        else:
-            split = pitchfork_saddles(lam2, quartic)
-            regime = PitchforkTransverse(lambda2=lam2, quartic=quartic, mu2=split.soft_eigenvalue)
-            value = minimum.value + barrier + split.value_shift
-        saddle = SaddleSpec(
-            value=value,
-            regime=regime,
-            stable_eigenvalues=tuple(stable),
-            unstable_eigenvalue=unstable,
-        )
-        rows.append(_sweep_row(lam2, pitchfork_transverse_time(minimum, saddle, eps)))
-    return rows
+            return SaddleSpec(altitude, PitchforkTransverse(lam2, quartic), stable, unstable)
+        split = pitchfork_saddles(lam2, quartic)
+        regime = PitchforkTransverse(lam2, quartic, mu2=split.soft_eigenvalue)
+        return SaddleSpec(altitude + split.value_shift, regime, stable, unstable)
+
+    return _sweep(eps, lambda2_values, minimum, barrier, saddle_at)
 
 
 def sweep_longitudinal(
@@ -1088,22 +1029,15 @@ def sweep_longitudinal(
     For ``lambda1 > 0`` the split saddles of :func:`longitudinal_saddles` are
     used, including the raised altitude.
     """
-    minimum = _default_minimum(minimum)
-    rows = []
-    for lam1 in lambda1_values:
-        lam1 = float(lam1)
+
+    def saddle_at(lam1: float, altitude: float) -> SaddleSpec:
         if lam1 <= 0.0:
-            regime = PitchforkLongitudinal(lambda1=lam1, quartic=quartic)
-            value = minimum.value + barrier
-        else:
-            split = longitudinal_saddles(lam1, quartic)
-            regime = PitchforkLongitudinal(
-                lambda1=lam1, quartic=quartic, mu1=split.soft_eigenvalue
-            )
-            value = minimum.value + barrier + split.value_shift
-        saddle = SaddleSpec(value=value, regime=regime, stable_eigenvalues=tuple(stable))
-        rows.append(_sweep_row(lam1, pitchfork_longitudinal_time(minimum, saddle, eps)))
-    return rows
+            return SaddleSpec(altitude, PitchforkLongitudinal(lam1, quartic), stable)
+        split = longitudinal_saddles(lam1, quartic)
+        regime = PitchforkLongitudinal(lam1, quartic, mu1=split.soft_eigenvalue)
+        return SaddleSpec(altitude + split.value_shift, regime, stable)
+
+    return _sweep(eps, lambda1_values, minimum, barrier, saddle_at)
 
 
 def sweep_doublezero(
@@ -1121,18 +1055,11 @@ def sweep_doublezero(
     Values below ``-sqrt(eps |log eps|)`` raise (use :func:`sweep_sombrero`
     for the ring regime).
     """
-    minimum = _default_minimum(minimum)
-    rows = []
-    for lam2 in lambda2_values:
-        lam2 = float(lam2)
-        saddle = SaddleSpec(
-            value=minimum.value + barrier,
-            regime=DoubleZero(lambda2=lam2, angular=angular),
-            stable_eigenvalues=tuple(stable),
-            unstable_eigenvalue=unstable,
-        )
-        rows.append(_sweep_row(lam2, doublezero_time(minimum, saddle, eps)))
-    return rows
+
+    def saddle_at(lam2: float, altitude: float) -> SaddleSpec:
+        return SaddleSpec(altitude, DoubleZero(lam2, angular), stable, unstable)
+
+    return _sweep(eps, lambda2_values, minimum, barrier, saddle_at)
 
 
 def sweep_sombrero(
@@ -1155,22 +1082,13 @@ def sweep_sombrero(
     lattice.  The ring altitude ``V(z*) = barrier - mu3**2 / (64 * C4)`` drops
     with ``mu3`` exactly as the split-saddle altitude of the radial pitchfork.
     """
-    minimum = _default_minimum(minimum)
     if mu2_map is None:
         mu2_map = lambda m3: 0.5 * m3 * m3
-    rows = []
-    for mu3 in mu3_values:
-        mu3 = float(mu3)
+
+    def saddle_at(mu3: float, altitude: float) -> SaddleSpec:
         if not mu3 > 0.0:
             raise ValueError("mu3 values must be positive")
-        value = minimum.value + barrier - mu3**2 / (64.0 * quartic)
-        saddle = SaddleSpec(
-            value=value,
-            regime=Sombrero(
-                gate_pairs=gate_pairs, mu2=float(mu2_map(mu3)), mu3=mu3, quartic=quartic
-            ),
-            stable_eigenvalues=tuple(stable),
-            unstable_eigenvalue=unstable,
-        )
-        rows.append(_sweep_row(mu3, sombrero_time(minimum, saddle, eps)))
-    return rows
+        regime = Sombrero(gate_pairs, float(mu2_map(mu3)), mu3, quartic)
+        return SaddleSpec(altitude - mu3**2 / (64.0 * quartic), regime, stable, unstable)
+
+    return _sweep(eps, mu3_values, minimum, barrier, saddle_at)

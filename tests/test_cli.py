@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -13,12 +14,23 @@ DW1D_TIME_EPS02 = 15.507185174028427
 ROTATED2_TIME_EPS012 = 80.061966657553797
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
 def run(tmp_path, *args):
     return main([*args, "--out", str(tmp_path)])
 
 
 def read_json(tmp_path, name):
     return json.loads((tmp_path / name).read_text())
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def read_strict_json(tmp_path, name):
+    return json.loads((tmp_path / name).read_text(), parse_constant=_reject_constant)
 
 
 def read_csv(tmp_path, name):
@@ -127,6 +139,29 @@ def test_classify_writes_a_manifest(tmp_path):
     assert doc["outputs"] == ["classify.json"]
     assert "--seeds" in doc["argv"]
     assert doc["version"]
+
+
+def _cubic_codim2_potential(tmp_path):
+    """x^2/2 + y^3 - 3 y z^2 + x^4 + y^4 + z^4: a codim-2 origin with a cubic null-space form."""
+    path = tmp_path / "cubic_codim2.json"
+    path.write_text(json.dumps({"dimension": 3, "terms": [
+        {"exponents": [2, 0, 0], "coeff": 0.5},
+        {"exponents": [0, 3, 0], "coeff": 1.0},
+        {"exponents": [0, 1, 2], "coeff": -3.0},
+        {"exponents": [4, 0, 0], "coeff": 1.0},
+        {"exponents": [0, 4, 0], "coeff": 1.0},
+        {"exponents": [0, 0, 4], "coeff": 1.0},
+    ]}))
+    return str(path)
+
+
+def test_classify_writes_null_for_non_finite_coefficients(tmp_path):
+    pot = _cubic_codim2_potential(tmp_path)
+    assert run(tmp_path, "classify", "--potential", pot, "--seeds", "0,0,0") == 0
+    rows = read_strict_json(tmp_path, "classify.json")
+    coeffs = rows[0]["coefficients"]
+    assert rows[0]["tag"] == "Codim2"
+    assert coeffs["Kminus"] is None and coeffs["Kplus"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +406,26 @@ def test_verify_underflowing_capacities_exit_2_without_a_traceback(tmp_path, cap
     assert not (tmp_path / "verify.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command, code",
+    [
+        (["rate", "--minimum-seed=0,-0.75,0"], 1),
+        (["simulate", "--start=0,-0.75,0", "--target=0,0.75,0", "--radius", "0.2",
+          "--dt", "0.01", "--max-time", "0.05", "--replicas", "2"], 1),
+        (["verify"], 2),
+    ],
+    ids=["rate", "simulate", "verify"],
+)
+def test_cubic_codim2_saddle_exits_without_a_traceback(tmp_path, capsys, command, code):
+    pot = _cubic_codim2_potential(tmp_path)
+    argv = [command[0], "--potential", pot, "--saddle-seed", "0,0,0", "--eps", "0.1", *command[1:]]
+    assert run(tmp_path, *argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    message = [line for line in err.splitlines() if line.startswith(f"metastable {command[0]}:")]
+    assert len(message) == 1 and "cubic terms on the null space" in message[0]
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -438,14 +493,6 @@ def test_simulate_validates_against_the_closed_form_when_asked(tmp_path):
     validation = doc["validation"]
     assert validation["verdict"] == "pass"
     assert abs(validation["ratio"] - 1.0) <= validation["tolerance"]
-
-
-def _reject_constant(name):
-    raise ValueError(f"non-JSON constant {name}")
-
-
-def read_strict_json(tmp_path, name):
-    return json.loads((tmp_path / name).read_text(), parse_constant=_reject_constant)
 
 
 def test_simulate_without_hits_writes_strict_json(tmp_path):
@@ -576,3 +623,61 @@ def test_csv_format_is_rejected_outside_tabular_commands(tmp_path):
         "--format", "csv",
     )
     assert code == 1
+
+
+# ---------------------------------------------------------------------------
+# golden outputs: byte-for-byte files recorded from the closed forms
+# ---------------------------------------------------------------------------
+
+_SWEEP_GRIDS = {
+    "transverse": ["--grid=-0.5:0.5:11", "--eps", "0.05,0.1"],
+    "longitudinal": ["--grid=-0.5:0.5:11", "--eps", "0.05,0.1"],
+    "doublezero": ["--grid=-0.3:0.5:9", "--eps", "0.05,0.1"],
+    "sombrero": ["--grid=0.05:0.8:6", "--eps", "0.01,0.001"],
+}
+
+GOLDEN_RUNS = {
+    # one rate per mapped regime: classical, transverse, longitudinal, codim2
+    "rate_double_well.json": [
+        "rate", "--potential", "double_well", "--minimum-seed=-1", "--saddle-seed=0",
+        "--eps", "0.2,0.1",
+    ],
+    "rate_rotated2.json": [
+        "rate", "--potential", "rotated2", "--params", "gamma=0.5",
+        "--minimum-seed", "1.4,0.1", "--saddle-seed", "0,0", "--eps", "0.12,0.05",
+    ],
+    "rate_sextic_longitudinal.json": [
+        "rate", "--potential", str(GOLDEN / "sextic_longitudinal.json"),
+        "--minimum-seed", "0.8,0", "--saddle-seed", "0.01,0", "--eps", "0.1,0.05",
+    ],
+    "rate_chain3.json": [
+        "rate", "--potential", "chain", "--params", f"N=3,gamma={2 / 3}",
+        "--minimum-seed=-1,-1,-1", "--saddle-seed", "0,0,0", "--eps", "0.1,0.05",
+    ],
+    **{
+        f"sweep_{scenario}{suffix}": ["sweep", "--scenario", scenario, *grid, *fmt]
+        for scenario, grid in _SWEEP_GRIDS.items()
+        for suffix, fmt in ((".csv", []), (".json", ["--format", "json"]))
+    },
+    # flags reach the sweep they belong to; the others are ignored
+    "sweep_sombrero_flags.csv": [
+        "sweep", "--scenario", "sombrero", "--grid=0.05:0.8:6", "--eps", "0.01",
+        "--quartic", "0.25", "--gate-pairs", "4", "--angular", "9",
+    ],
+    "sweep_doublezero_flags.csv": [
+        "sweep", "--scenario", "doublezero", "--grid=-0.3:0.5:9", "--eps", "0.05",
+        "--angular", "0.25", "--quartic", "9", "--gate-pairs", "5",
+    ],
+    "verify_rotated2.json": [
+        "verify", "--potential", "rotated2", "--params", "gamma=0.5",
+        "--saddle-seed", "0,0", "--eps", "0.05",
+    ],
+}
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDEN_RUNS))
+def test_output_bytes_match_the_golden_file(tmp_path, golden):
+    argv = GOLDEN_RUNS[golden]
+    assert run(tmp_path, *argv) == 0
+    produced = tmp_path / (argv[0] + Path(golden).suffix)
+    assert produced.read_bytes() == (GOLDEN / golden).read_bytes()

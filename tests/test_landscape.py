@@ -16,6 +16,7 @@ from metastable import (
     PotentialModel,
     NormalFormCodim2,
     PolynomialPotential,
+    SaddleClass,
     SaddleTag,
     StationaryPoint,
     Verdict,
@@ -29,6 +30,7 @@ from metastable import (
     double_well_1d,
     find_stationary_points,
     rotated_two_particle,
+    saddle_spec,
 )
 
 
@@ -466,3 +468,36 @@ def test_flat_stable_origin_is_codim1_saddle(rotated_flat):
     sc = classify(rotated_flat, pt)
     assert sc.tag is SaddleTag.CODIM1 and sc.verdict is Verdict.SADDLE
     assert sc.detail.C4 == pytest.approx(0.125, rel=1e-9)
+
+
+def test_codim1_classification_computes_each_derivative_tensor_once(monkeypatch):
+    model = rotated_two_particle(0.5)
+    calls = {"third_tensor": 0, "fourth_tensor": 0}
+    for name in calls:
+        method = getattr(model, name)
+
+        def counted(x, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(x)
+
+        monkeypatch.setattr(model, name, counted)
+    sc = classify(model, StationaryPoint.at(model, np.zeros(2)))
+    assert calls == {"third_tensor": 1, "fourth_tensor": 1}
+    # the classification recorded before the tensors were shared
+    assert sc == SaddleClass(
+        SaddleTag.CODIM1,
+        Verdict.SADDLE,
+        NormalFormCodim1(soft_index=1, lambda2=-1.0, C3=0.0, C4=0.125),
+    )
+
+
+def test_saddle_spec_rejects_gates_without_a_closed_form(dw, chain3_critical):
+    minimum = StationaryPoint.at(dw, np.array([1.0]))
+    with pytest.raises(ValueError, match="closed-form rates need a saddle"):
+        saddle_spec(dw, minimum)
+    cubic = poly(3, ((2, 0, 0), 0.5), ((0, 3, 0), 1.0), ((0, 1, 2), -3.0),
+                 ((4, 0, 0), 1.0), ((0, 4, 0), 1.0), ((0, 0, 4), 1.0))
+    with pytest.raises(ValueError, match="cubic terms on the null space"):
+        saddle_spec(cubic, StationaryPoint.at(cubic, np.zeros(3)))
+    spec, sc = saddle_spec(chain3_critical, StationaryPoint.at(chain3_critical, np.zeros(3)))
+    assert sc.tag is SaddleTag.CODIM2 and spec.dimension == 3

@@ -19,6 +19,7 @@ from metastable import (
     SaddleSpec,
     Sombrero,
     SWEEP_FIELDS,
+    closed_rate,
     combine_gates,
     doublezero_time,
     ek_classical,
@@ -223,6 +224,19 @@ def test_duality_product_all_regimes(op, minimum, saddle):
         assert duality_gap(res, minimum) < 1e-12
 
 
+@pytest.mark.parametrize("op,minimum,saddle", all_regime_cases())
+def test_closed_rate_runs_the_operation_of_the_regime(op, minimum, saddle):
+    assert closed_rate(minimum, saddle, 0.05) == op(minimum, saddle, 0.05)
+
+
+def test_unknown_regime_types_are_rejected():
+    class Bogus:
+        pass
+
+    with pytest.raises(ValueError, match="unknown regime type Bogus"):
+        SaddleSpec(0.0, Bogus(), (), 1.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     lam1=st.floats(0.1, 10.0),
@@ -384,6 +398,114 @@ def test_doublezero_negative_edge_note():
     res = doublezero_time(minimum, SaddleSpec(0.5, DoubleZero(lam2, 0.25), (), 1.0), eps)
     assert res.regime_tag == "doublezero-negative"
     assert any("sombrero" in n for n in res.notes)
+
+
+_EDGE_EPS = 0.01
+_EDGE_W = math.sqrt(_EDGE_EPS * abs(math.log(_EDGE_EPS)))
+_EDGE_MIN3 = MinimumSpec(value=-0.25, eigenvalues=(1.5, 2.0, 3.0))
+_EDGE_MIN4 = MinimumSpec(value=-0.25, eigenvalues=(1.5, 2.0, 3.0, 4.0))
+_CROSSOVER_ERROR = {
+    sym: f"(eps |log eps|^3 / max({sym}, sqrt(eps |log eps|)))^(1/2)"
+    for sym in ("|lambda1|", "|lambda2|")
+}
+
+# every note written at a window edge, with the full result it rides on
+# (values recorded before the boundary comparison was factored out)
+EDGE_CASES = {
+    "transverse-upper": (
+        pitchfork_transverse_time,
+        _EDGE_MIN3,
+        SaddleSpec(0.5, PitchforkTransverse(_EDGE_W, 0.5), (2.0,), 1.25),
+        RateResult(
+            regime_tag="pitchfork-transverse", eps=0.01, barrier=0.75, saddle_value=0.5,
+            prefactor=1.4425614143361343, expected_time=5.3854308549614214e32,
+            capacity_prefactor=0.0036392696558596492, capacity=7.019240795438998e-25,
+            dimension=3, error_order=_CROSSOVER_ERROR["|lambda2|"],
+            notes=("at the upper crossover boundary lambda2 = sqrt(eps |log eps|); "
+                   "classical-branch prefactor discrepancy 1.493e-01",),
+        ),
+    ),
+    "transverse-lower": (
+        pitchfork_transverse_time,
+        _EDGE_MIN3,
+        SaddleSpec(
+            0.5 + pitchfork_saddles(-_EDGE_W, 0.5).value_shift,
+            PitchforkTransverse(-_EDGE_W, 0.5, mu2=2 * _EDGE_W), (2.0,), 1.25,
+        ),
+        RateResult(
+            regime_tag="pitchfork-transverse-split", eps=0.01, barrier=0.7442435372675149,
+            saddle_value=0.4942435372675149, prefactor=0.8384858068814955,
+            expected_time=1.760280420668757e32, capacity_prefactor=0.006261131600346152,
+            capacity=2.1474780673751813e-24, dimension=3,
+            error_order=_CROSSOVER_ERROR["|lambda2|"],
+            notes=("at the lower crossover boundary lambda2 = -sqrt(eps |log eps|); "
+                   "two-gate classical prefactor discrepancy 3.377e-02",),
+        ),
+    ),
+    "longitudinal-upper": (
+        pitchfork_longitudinal_time,
+        _EDGE_MIN3,
+        SaddleSpec(0.5, PitchforkLongitudinal(-_EDGE_W, 0.5), (2.0, 3.0)),
+        RateResult(
+            regime_tag="pitchfork-longitudinal", eps=0.01, barrier=0.75, saddle_value=0.5,
+            prefactor=9.421467022126345, expected_time=3.51726163584589e33,
+            capacity_prefactor=0.000557224259192134, capacity=1.0747462051986352e-25,
+            dimension=3, error_order=_CROSSOVER_ERROR["|lambda1|"],
+            notes=("at the crossover boundary |lambda1| = sqrt(eps |log eps|); "
+                   "classical-branch prefactor discrepancy 1.493e-01",),
+        ),
+    ),
+    "longitudinal-split": (
+        pitchfork_longitudinal_time,
+        _EDGE_MIN3,
+        SaddleSpec(
+            0.5 + longitudinal_saddles(_EDGE_W, 0.5).value_shift,
+            PitchforkLongitudinal(_EDGE_W, 0.5, mu1=-2 * _EDGE_W), (2.0, 3.0),
+        ),
+        RateResult(
+            regime_tag="pitchfork-longitudinal-split", eps=0.01, barrier=0.7557564627324851,
+            saddle_value=0.5057564627324851, prefactor=16.209033809537896,
+            expected_time=1.0760768066408533e34, capacity_prefactor=0.00032388543596091997,
+            capacity=3.512912435699179e-26, dimension=3,
+            error_order=_CROSSOVER_ERROR["|lambda1|"],
+            notes=("at the crossover boundary lambda1 = sqrt(eps |log eps|); "
+                   "two-gate series prefactor discrepancy 3.377e-02",),
+        ),
+    ),
+    "doublezero-upper": (
+        doublezero_time,
+        _EDGE_MIN4,
+        SaddleSpec(0.5, DoubleZero(_EDGE_W, 0.25), (2.0,), 1.25),
+        RateResult(
+            regime_tag="doublezero", eps=0.01, barrier=0.75, saddle_value=0.5,
+            prefactor=0.3659480207668461, expected_time=1.366172519772263e32,
+            capacity_prefactor=0.0017979975007393213, capacity=3.4678874061904703e-25,
+            dimension=4, error_order=_CROSSOVER_ERROR["|lambda2|"],
+            notes=("at the upper crossover boundary lambda2 = sqrt(eps |log eps|); "
+                   "classical-branch prefactor discrepancy 2.232e-01",),
+        ),
+    ),
+    "doublezero-negative-edge": (
+        doublezero_time,
+        _EDGE_MIN4,
+        SaddleSpec(0.5, DoubleZero(-_EDGE_W, 0.25), (2.0,), 1.25),
+        RateResult(
+            regime_tag="doublezero-negative", eps=0.01, barrier=0.75, saddle_value=0.5,
+            prefactor=0.025264270432148343, expected_time=9.431763539578345e30,
+            capacity_prefactor=0.026043642483419213, capacity=5.023167148032144e-24,
+            dimension=4, error_order=_CROSSOVER_ERROR["|lambda2|"],
+            notes=("at the lower validity edge lambda2 = -sqrt(eps |log eps|); the "
+                   "sombrero regime adjoins (compare against sombrero_time via "
+                   "relative_discrepancy)",),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_window_edge_results_are_pinned(case):
+    op, minimum, saddle, expected = EDGE_CASES[case]
+    assert op(minimum, saddle, _EDGE_EPS) == expected
 
 
 def test_crossover_error_order_strings():
