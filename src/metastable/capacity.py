@@ -25,7 +25,10 @@ saddle and box the potential on those grids is the same for both.  Passing one
 from the dict and adds the ones it is first to reach, so a ``verify`` row
 evaluates every level once.  A dict belongs to one (model, saddle, box); the
 caller drops it with the row.  The grid that checks the box conditions is
-evaluated inside each call.
+evaluated inside each call.  A grid is evaluated in slabs of at most
+``_SLAB_ROWS`` points, so evaluating it takes the memory of the grid plus one
+slab; with one BLAS thread its values are bit for bit those of one call over
+the whole grid.
 """
 
 from __future__ import annotations
@@ -55,6 +58,10 @@ __all__ = [
 _QUAD_OPTS = dict(epsabs=0.0, epsrel=1e-10, limit=200)
 # per-axis node caps for the refinement loop, by dimension
 _MAX_NODES = {1: 8193, 2: 1025, 3: 257}
+# most points per value_many call when a tensor grid is evaluated slab by slab;
+# on chain 129^3 and 257^3 and rotated2 1025^2 grids 2**15 was within 3% of the
+# fastest size, 2**17 was 16-50% slower and one call per grid 3-6 times slower
+_SLAB_ROWS = 2**15
 
 
 @dataclass(frozen=True)
@@ -308,11 +315,37 @@ def _tensor_w(
     widths: Sequence[float],
     shape: Sequence[int],
 ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``V - V(point)`` on the tensor grid ``shape`` over ``[-widths, widths]``
+    in the eigenbasis of ``point``, and the grid's axes.
+
+    The grid is evaluated in slabs of at most ``_SLAB_ROWS`` points, so memory
+    is the grid plus one slab.  A slab is a run of whole lines along the last
+    axis, in C order, and holds a multiple of 16 lines, hence of 16 points: a
+    BLAS kernel that treats the last ``rows mod block`` rows of a call apart
+    (the polynomial kernel's ``coeffs @ terms``) then meets the same blocks as
+    in one ``value_many`` call on ``location + y @ Q.T`` over the whole grid,
+    and with one BLAS thread the values are bit for bit those of that call.
+    """
+    shape = tuple(shape)
+    d, n_last = len(shape), shape[-1]
     axes = [np.linspace(-w, w, n) for w, n in zip(widths, shape)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    ycoords = np.stack([m.ravel() for m in mesh], axis=-1)
-    x = point.location[None, :] + ycoords @ point.eigenvectors.T
-    w = model.value_many(x).reshape(tuple(shape)) - point.value
+    # leading coordinates of every line, one line per column; one line when d = 1
+    lines = np.empty((d - 1, math.prod(shape[:-1])))
+    for k, m in enumerate(np.meshgrid(*axes[:-1], indexing="ij")):
+        lines[k] = m.ravel()
+    w = np.empty(shape)
+    rows = w.reshape(-1, n_last)
+    step = 16 * max(1, _SLAB_ROWS // (16 * n_last))
+    for start in range(0, len(rows), step):
+        count = min(step, len(rows) - start)
+        # points as columns, so each coordinate is one contiguous row
+        y = np.empty((d, count * n_last))
+        y[:-1] = np.repeat(lines[:, start : start + count], n_last, axis=1)
+        y[-1] = np.tile(axes[-1], count)
+        x = point.eigenvectors @ y
+        x += point.location[:, None]
+        rows[start : start + count] = model.value_many(x.T).reshape(count, n_last)
+    w -= point.value
     return w, axes
 
 

@@ -368,6 +368,13 @@ def _cmd_simulate(ns, argv) -> int:
     center = _parse_vector(ns.target)
     radius = ns.radius if ns.radius is not None else default_radius(eps)
     dt = ns.dt if ns.dt is not None else default_dt(model, eps, [start, center])
+    prediction = None
+    if ns.saddle_seed:
+        # resolve the closed form before paying for the Monte Carlo run
+        minimum = _converge(model, start, "minimum (from start)")
+        saddle = _converge(model, _parse_vector(ns.saddle_seed), "saddle")
+        min_spec, spec, _ = _rate_specs(model, minimum, saddle)
+        prediction = closed_rate(min_spec, spec, eps)
     try:
         config = SimulationConfig(
             eps=eps,
@@ -387,13 +394,7 @@ def _cmd_simulate(ns, argv) -> int:
     if ns.times_csv:
         write_times_csv(estimate, out / "times.csv")
         outputs.append("times.csv")
-
-    prediction = None
-    if ns.saddle_seed:
-        minimum = _converge(model, start, "minimum (from start)")
-        saddle = _converge(model, _parse_vector(ns.saddle_seed), "saddle")
-        min_spec, spec, _ = _rate_specs(model, minimum, saddle)
-        prediction = closed_rate(min_spec, spec, eps)
+    if prediction is not None:
         doc["prediction"] = _rate_row(prediction)
 
     if estimate.censored_fraction > 0.10:

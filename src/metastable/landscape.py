@@ -241,15 +241,10 @@ def codim1_coefficients(
     quartic one corrected for coupling to the nonzero directions:
     ``C4 = V1111 - (1/2) sum_j V11j^2 / lambda_j``.
     """
-    return _codim1_form(point, zero_tol, *_raw_tensors(model, point))
+    return _codim1_form(point, _zeros(point, zero_tol), *_raw_tensors(model, point))
 
 
-def _codim1_form(point: StationaryPoint, zero_tol: float | None, T3, T4) -> NormalFormCodim1:
-    zeros = (
-        point.zero_indices
-        if zero_tol is None
-        else _flag_zeros(point.eigenvalues, zero_tol)
-    )
+def _codim1_form(point: StationaryPoint, zeros: tuple[int, ...], T3, T4) -> NormalFormCodim1:
     if len(zeros) != 1:
         raise ValueError(
             f"codim1_coefficients needs exactly one zero eigenvalue, found {len(zeros)}"
@@ -273,6 +268,11 @@ def _codim1_form(point: StationaryPoint, zero_tol: float | None, T3, T4) -> Norm
 def _flag_zeros(lam: np.ndarray, zero_tol: float) -> tuple[int, ...]:
     scale = max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
     return tuple(int(i) for i in np.nonzero(np.abs(lam) < zero_tol * scale)[0])
+
+
+def _zeros(point: StationaryPoint, zero_tol: float | None) -> tuple[int, ...]:
+    """The point's own zero indices, or those flagged under ``zero_tol``."""
+    return point.zero_indices if zero_tol is None else _flag_zeros(point.eigenvalues, zero_tol)
 
 
 # -- codim 2 -----------------------------------------------------------------
@@ -422,11 +422,7 @@ def codim2_form(
     in-scope quartic analysis assumes it; ``classify`` still handles the cubic
     case via the discriminant).
     """
-    zeros = (
-        point.zero_indices
-        if zero_tol is None
-        else _flag_zeros(point.eigenvalues, zero_tol)
-    )
+    zeros = _zeros(point, zero_tol)
     if len(zeros) != 2:
         raise ValueError(
             f"codim2_form needs exactly two zero eigenvalues, found {len(zeros)}"
@@ -483,7 +479,7 @@ def classify(
 def _classify_codim1(model, point, i0, n_neg, probe_higher) -> SaddleClass:
     # the raw tensors feed both the normal form and the coefficient tolerance
     T3, T4 = _raw_tensors(model, point)
-    nf = _codim1_form(point, None, T3, T4)
+    nf = _codim1_form(point, (i0,), T3, T4)
     tol = 1e-8 * max(1.0, float(np.max(np.abs(T3))), float(np.max(np.abs(T4))))
     unstable_present = n_neg == 1
 

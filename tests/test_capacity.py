@@ -2,7 +2,12 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,8 +32,10 @@ from metastable import (
     ek_flat_unstable,
     fiber_lower_bound,
     reduced_capacity,
+    rotated_two_particle,
     verification_report,
 )
+from metastable.capacity import _SLAB_ROWS, _tensor_w
 from metastable.cli import main
 
 UNIT_MIN = MinimumSpec(value=0.0, hessian_det=1.0)
@@ -256,6 +263,79 @@ def test_verify_row_evaluates_each_ladder_level_once(tmp_path, monkeypatch):
     ladder = [17, 33, 65, 129]
     checks = [65, 65]  # one box-condition grid per bound
     assert Counter(rows) == Counter(n * n for n in ladder + checks)
+
+
+def _one_shot_grid(model, point, widths, n):
+    axes = [np.linspace(-w, w, n) for w in widths]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    y = np.stack([m.ravel() for m in mesh], axis=-1)
+    x = point.location[None, :] + y @ point.eigenvectors.T
+    return model.value_many(x).reshape((n,) * len(widths)) - point.value
+
+
+def _poly3():
+    # coupled quadratic part, so the eigenbasis is not the coordinate basis
+    return PolynomialPotential([
+        ((2, 0, 0), -0.5), ((1, 1, 0), 0.3), ((0, 2, 0), 0.4), ((0, 1, 1), -0.2),
+        ((0, 0, 2), 0.6), ((4, 0, 0), 0.25), ((2, 2, 0), 0.5), ((0, 1, 3), 0.1),
+    ])
+
+
+# each grid spans several slabs of the streamed evaluation
+STREAMED_GRIDS = {
+    "rotated2": (lambda: rotated_two_particle(0.5), [0.0, 0.0], 1025),
+    "poly3": (_poly3, [0.1, -0.2, 0.3], 65),
+    "chain3": (lambda: chain_potential(3, 1.0), [0.0, 0.0, 0.0], 129),
+}
+
+
+def _streamed_mismatches() -> dict[str, int]:
+    """Per grid, the number of nodes where ``_tensor_w`` and the one-shot formula differ."""
+    out = {}
+    for name, (build, at, n) in STREAMED_GRIDS.items():
+        model = build()
+        point = StationaryPoint.at(model, np.array(at))
+        widths = [0.9, 0.6, 0.4][: model.dim]
+        assert n**model.dim > 2 * _SLAB_ROWS
+        w, axes = _tensor_w(model, point, widths, [n] * model.dim)
+        assert [a.size for a in axes] == [n] * model.dim
+        out[name] = int(np.count_nonzero(w != _one_shot_grid(model, point, widths, n)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def streamed_mismatches():
+    # A threaded BLAS splits one call's rows between its threads, and the last
+    # rows of each share take the kernel's tail path, so the one-shot reference
+    # itself moves in the last bit with the thread count.  The comparison runs
+    # in a fresh interpreter with one BLAS thread, as the benchmark pins it.
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env.update({var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
+    code = "import json, test_capacity; print(json.dumps(test_capacity._streamed_mismatches()))"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
+
+
+@pytest.mark.parametrize("name", sorted(STREAMED_GRIDS))
+def test_streamed_grid_equals_the_one_shot_formula(streamed_mismatches, name):
+    assert streamed_mismatches[name] == 0
+
+
+@pytest.mark.parametrize("name, n, bound", [("chain3", 129, 2.0), ("rotated2", 1025, 3.0)])
+def test_streamed_grid_peak_memory_is_the_grid_plus_one_slab(name, n, bound):
+    build, at, _ = STREAMED_GRIDS[name]
+    model = build()
+    point = StationaryPoint.at(model, np.array(at))
+    tracemalloc.start()
+    try:
+        w, _ = _tensor_w(model, point, [0.9, 0.6, 0.4][: model.dim], [n] * model.dim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * w.nbytes
 
 
 def test_tensor_bounds_reject_dimension_above_three():

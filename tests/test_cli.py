@@ -431,6 +431,18 @@ def test_cubic_codim2_saddle_exits_without_a_traceback(tmp_path, capsys, command
 # ---------------------------------------------------------------------------
 
 
+def test_simulate_resolves_the_saddle_before_the_monte_carlo_run(tmp_path, recwarn):
+    pot = _cubic_codim2_potential(tmp_path)
+    code = run(
+        tmp_path, "simulate", "--potential", pot, "--saddle-seed", "0,0,0", "--eps", "0.1",
+        "--start=0,-0.75,0", "--target=0,0.75,0", "--radius", "0.2", "--dt", "0.01",
+        "--max-time", "0.05", "--replicas", "2", "--times-csv",
+    )
+    assert code == 1
+    assert not [w for w in recwarn if "no replica hit" in str(w.message)]
+    assert not (tmp_path / "times.csv").exists()
+
+
 def simulate_args(**overrides):
     base = {
         "--potential": "double_well",

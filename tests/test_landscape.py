@@ -128,6 +128,17 @@ def test_classify_codim1_soft_unstable_direction():
     assert sc.detail.C4 == pytest.approx(-0.25)
 
 
+def test_classify_codim1_under_a_custom_zero_tol():
+    # eigenvalues -1 and 0.04: soft only under zero_tol = 0.1, not under the
+    # point's own tolerance, so the normal form must use classify's flags
+    model = rotated_two_particle(0.52)
+    point = StationaryPoint.at(model, [0, 0])
+    assert point.zero_indices == ()
+    sc = classify(model, point, zero_tol=0.1)
+    assert sc.tag is SaddleTag.CODIM1
+    assert sc.detail.soft_index == 1
+
+
 def test_classify_codim1_degenerate_probe_higher():
     model = poly(2, ((2, 0), -0.5), ((0, 6), 1.0))
     sc = classify_at(model)

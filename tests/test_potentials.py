@@ -90,6 +90,17 @@ def test_value_many_matches_value():
     assert np.allclose(grads, [model.gradient(p) for p in pts], rtol=1e-10, atol=1e-12)
 
 
+@pytest.mark.parametrize("N", [2, 3, 5])
+def test_chain_batch_kernel_matches_the_power_formula(N):
+    model = chain_potential(N, 0.68)
+    pts = np.random.default_rng(N).uniform(-1.8, 1.8, size=(200, N))
+    diff = pts - np.roll(pts, -1, axis=1)
+    coupling = 0.25 * model.gamma * np.sum(diff**2, axis=1)
+    reference = np.sum(0.25 * pts**4 - 0.5 * pts**2, axis=1) + coupling
+    scale = np.sum(0.25 * pts**4 + 0.5 * pts**2, axis=1) + coupling  # size of the terms
+    assert np.all(np.abs(model.value_many(pts) - reference) <= 1e-13 * scale)
+
+
 def _hand_built():
     # constant term, zero-exponent columns, and no dependence on x_2 (an empty
     # gradient polynomial along that axis)
