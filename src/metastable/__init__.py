@@ -92,7 +92,6 @@ from .capacity import (
     dirichlet_upper_bound,
     fiber_lower_bound,
     reduced_capacity,
-    verification_report,
 )
 from .sampling import (
     Ball,

@@ -52,12 +52,13 @@ __all__ = [
     "dirichlet_upper_bound",
     "fiber_lower_bound",
     "capacity_1d_exact",
-    "verification_report",
 ]
 
 _QUAD_OPTS = dict(epsabs=0.0, epsrel=1e-10, limit=200)
 # per-axis node caps for the refinement loop, by dimension
 _MAX_NODES = {1: 8193, 2: 1025, 3: 257}
+# the ladder stops once a level changes the value by less than this, relative
+_REL_TOL = 1e-6
 # most points per value_many call when a tensor grid is evaluated slab by slab;
 # on chain 129^3 and 257^3 and rotated2 1025^2 grids 2**15 was within 3% of the
 # fastest size, 2**17 was 16-50% slower and one call per grid 3-6 times slower
@@ -150,26 +151,28 @@ def default_box(
     a quartic unstable direction gets ``(d eps |log eps| / C)**(1/4)``; a soft
     quadratic-quartic transverse direction solves the quadratic-in-``delta2**2``
     threshold equation; a codimension-two block uses its angular minimum
-    ``K_-``.  ``scale`` multiplies every half-width (the threshold constants
-    are proof parameters, not sharp).
+    ``K_-``.  The soft directions and the quadratic split are the point's own
+    (see :class:`~metastable.landscape.StationaryPoint`): with no quadratic
+    unstable direction, the soft one is the unstable axis.  ``scale``
+    multiplies every half-width (the threshold constants are proof
+    parameters, not sharp).
     """
     if not eps > 0.0:
         raise ValueError("eps must be positive")
     evs = point.eigenvalues
     d = model.dim
     level = d * eps * abs(math.log(eps))
-    zeros = set(point.zero_indices)
-    quad_stable = [v for i, v in enumerate(evs) if i not in zeros and v > 0.0]
-    deltaj = tuple(2.0 * math.sqrt(level / v) for v in quad_stable)
+    zeros = point.zero_indices
+    deltaj = tuple(2.0 * math.sqrt(level / v) for v in point.quadratic_stable)
     delta2 = None
 
     if not zeros:
-        if not evs[0] < 0.0:
+        if not point.n_quadratic_unstable:
             raise ValueError("point has no unstable direction; not a saddle box")
         delta1 = math.sqrt(2.0 * level / -evs[0])
     elif len(zeros) == 1:
         nf = codim1_coefficients(model, point)
-        if evs[0] >= 0.0 or 0 in zeros:
+        if not point.n_quadratic_unstable:
             # soft unstable direction: normal form -|C4| y^4
             if not nf.C4 < 0.0:
                 raise ValueError("soft unstable direction is not quartic unstable (C4 >= 0)")
@@ -177,14 +180,14 @@ def default_box(
         else:
             if not nf.C4 > 0.0:
                 raise ValueError("soft stable direction is not quartic stable (C4 <= 0)")
-            lam2 = evs[sorted(zeros)[0]]
+            lam2 = evs[zeros[0]]
             delta1 = math.sqrt(2.0 * level / -evs[0])
             delta2 = math.sqrt(
                 (-lam2 + math.sqrt(lam2**2 + 32.0 * nf.C4 * level)) / (4.0 * nf.C4)
             )
     elif len(zeros) == 2:
         nf2 = codim2_form(model, point)
-        if not evs[0] < 0.0:
+        if not point.n_quadratic_unstable:
             raise ValueError("codimension-two box requires a quadratic unstable direction")
         delta1 = math.sqrt(2.0 * level / -evs[0])
         delta2 = (2.0 * level / nf2.K_minus) ** 0.25
@@ -385,7 +388,6 @@ def _refine(
     grid: int,
     evaluate: Callable[[np.ndarray, list[np.ndarray]], float],
     levels: dict[int, tuple[np.ndarray, list[np.ndarray]]],
-    rel_tol: float = 1e-6,
 ) -> tuple[float, tuple[int, ...], float]:
     d = model.dim
     widths = _axis_widths(box, d)
@@ -408,7 +410,7 @@ def _refine(
         new = evaluate(*level(n))
         rel = abs(new - value) / max(abs(new), 1e-300)
         value = new
-        if rel < rel_tol:
+        if rel < _REL_TOL:
             break
     return value, (n,) * d, rel
 
@@ -556,19 +558,3 @@ def capacity_1d_exact(
         eps=eps,
         box=None,
     )
-
-
-def verification_report(estimate: CapacityEstimate, closed_form: float) -> dict:
-    """JSON-ready comparison of a quadrature estimate against a closed form."""
-    return {
-        "method": estimate.method,
-        "eps": estimate.eps,
-        "value": estimate.value,
-        "closed_form": closed_form,
-        "ratio": estimate.value / closed_form if closed_form else math.inf,
-        "box": estimate.box.as_dict() if estimate.box is not None else None,
-        "grid": {
-            "shape": list(estimate.grid_shape) if estimate.grid_shape else None,
-            "rel_change": estimate.rel_change,
-        },
-    }

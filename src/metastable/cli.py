@@ -46,6 +46,7 @@ from .rates import (
     sweep_transverse,
 )
 from .sampling import (
+    MAX_CENSORED_FRACTION,
     Ball,
     SimulationConfig,
     default_dt,
@@ -272,21 +273,27 @@ def _cmd_rate(ns, argv) -> int:
 
 
 # scenario -> (sweep, the options it takes); options the user leaves unset
-# keep the library defaults
+# keep the library defaults, and an option the scenario does not take is a
+# usage error
 _SWEEPS = {
     "transverse": (sweep_transverse, ("quartic",)),
     "longitudinal": (sweep_longitudinal, ("quartic",)),
     "doublezero": (sweep_doublezero, ("angular",)),
     "sombrero": (sweep_sombrero, ("quartic", "gate_pairs")),
 }
+_SWEEP_OPTIONS = sorted({k for _, options in _SWEEPS.values() for k in options})
 
 
 def _cmd_sweep(ns, argv) -> int:
     if not ns.eps:
         raise UsageError("--eps is required")
+    fn, options = _SWEEPS[ns.scenario]
+    stray = [k for k in _SWEEP_OPTIONS if k not in options and getattr(ns, k) is not None]
+    if stray:
+        flags = ", ".join("--" + k.replace("_", "-") for k in stray)
+        raise UsageError(f"scenario {ns.scenario} does not take {flags}")
     out = _out_dir(ns)
     values = _parse_grid(ns.grid)
-    fn, options = _SWEEPS[ns.scenario]
     kwargs = {k: getattr(ns, k) for k in options if getattr(ns, k) is not None}
     rows = [row for eps in _parse_floats(ns.eps) for row in fn(eps, values, **kwargs)]
     outputs = []
@@ -397,9 +404,10 @@ def _cmd_simulate(ns, argv) -> int:
     if prediction is not None:
         doc["prediction"] = _rate_row(prediction)
 
-    if estimate.censored_fraction > 0.10:
+    if estimate.censored_fraction > MAX_CENSORED_FRACTION:
         doc["error"] = (
-            f"censored fraction {estimate.censored_fraction:.1%} exceeds 10%; "
+            f"censored fraction {estimate.censored_fraction:.1%} exceeds "
+            f"{MAX_CENSORED_FRACTION:.0%}; "
             "mean over hits is biased -- extend --max-time"
         )
         _write_json(out / "simulate.json", doc)
@@ -444,14 +452,16 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p: _Parser, potential=True) -> None:
+    def common(p: _Parser, potential=True, eps=True, tabular=False) -> None:
         if potential:
             p.add_argument("--potential", help="built-in name (chain|rotated2|double_well) or JSON file")
             p.add_argument("--params", help="comma-separated key=value family parameters")
-        p.add_argument("--eps", help="comma-separated noise intensities")
+        if eps:
+            p.add_argument("--eps", help="comma-separated noise intensities")
         p.add_argument("--out", default=".", help="output directory (default: current)")
         p.add_argument("--seed", type=int, default=0, help="64-bit random seed")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
+        if tabular:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("classify", help="locate and classify stationary points")
     common(p)
@@ -464,7 +474,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--saddle-seed", required=True, help="seed for the gate saddle")
 
     p = sub.add_parser("sweep", help="prefactor curves along a control parameter")
-    common(p, potential=False)
+    common(p, potential=False, tabular=True)
     p.add_argument("--scenario", required=True, choices=sorted(_SWEEPS))
     p.add_argument("--grid", required=True, help="control values: start:stop:count or comma list")
     p.add_argument("--quartic", type=float)
@@ -489,7 +499,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--saddle-seed", default=None, help="validate against the closed-form rate")
 
     p = sub.add_parser("tabulate-special", help="crossover-function table")
-    common(p, potential=False)
+    common(p, potential=False, eps=False, tabular=True)
     p.add_argument("--alphas", default="0:5:51", help="alpha grid: start:stop:count or comma list")
     p.add_argument("--route", choices=("auto", "closed_form", "quadrature"), default="auto")
 
@@ -510,11 +520,6 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     ns = parser.parse_args(argv)
-    if ns.format is None:
-        ns.format = "csv" if ns.command in ("sweep", "tabulate-special") else "json"
-    if ns.format == "csv" and ns.command not in ("sweep", "tabulate-special"):
-        print(f"metastable {ns.command}: csv format applies to sweep/tabulate-special only", file=sys.stderr)
-        return 1
     try:
         return _HANDLERS[ns.command](ns, argv)
     except UsageError as exc:

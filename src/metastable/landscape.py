@@ -11,6 +11,13 @@ of a stationary point:
   analysis, and the angular function k(phi);
 * three or more: tagged only, with a heuristic sign report.
 
+Which eigenvalues count as zero is decided once, when the point is built
+(``zero_tol`` of :meth:`StationaryPoint.at` and
+:func:`find_stationary_points`).  The point also owns the split of the
+remaining spectrum into quadratic unstable and quadratic stable directions;
+:func:`classify`, :func:`saddle_spec` and ``capacity.default_box`` read that
+split and make no zero test of their own.
+
 For d = 2 an independent grid oracle computes communication heights and gate
 cells (exact min-max on the 8-connected grid graph) by bisection over sorted
 levels with connected-component labelling.
@@ -18,7 +25,6 @@ levels with connected-component labelling.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -74,7 +80,11 @@ class Verdict(str, Enum):
 
 @dataclass
 class StationaryPoint:
-    """A critical point with its sorted Hessian spectrum."""
+    """A critical point with its sorted Hessian spectrum.
+
+    ``zero_indices`` lists the soft (numerically zero) eigenvalues; every
+    other eigenvalue is a quadratic direction.
+    """
 
     location: np.ndarray
     value: float
@@ -87,21 +97,39 @@ class StationaryPoint:
     def at(
         cls, model: PotentialModel, x, zero_tol: float = DEFAULT_ZERO_TOL
     ) -> "StationaryPoint":
-        """Build the record for a (presumed) stationary point of `model`."""
+        """Build the record for a (presumed) stationary point of `model`.
+
+        Eigenvalues with ``|lambda| < zero_tol * max(1, spectral radius)``
+        are flagged as soft.
+        """
         x = np.asarray(x, dtype=float)
         H = model.hessian(x)
         lam, Q = np.linalg.eigh(H)
-        Q = _orient_columns(Q)
-        scale = max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
-        zeros = tuple(int(i) for i in np.nonzero(np.abs(lam) < zero_tol * scale)[0])
         return cls(
             location=x,
             value=float(model.value(x)),
             gradient_norm=float(np.linalg.norm(model.gradient(x))),
             eigenvalues=lam,
-            eigenvectors=Q,
-            zero_indices=zeros,
+            eigenvectors=_orient_columns(Q),
+            zero_indices=_flag_zeros(lam, zero_tol),
         )
+
+    @property
+    def n_quadratic_unstable(self) -> int:
+        """Number of negative eigenvalues that are not soft."""
+        return sum(1 for i, v in enumerate(self.eigenvalues) if v < 0 and i not in self.zero_indices)
+
+    @property
+    def quadratic_stable(self) -> tuple[float, ...]:
+        """Positive eigenvalues that are not soft, ascending."""
+        return tuple(
+            float(v) for i, v in enumerate(self.eigenvalues) if v > 0 and i not in self.zero_indices
+        )
+
+
+def _flag_zeros(lam: np.ndarray, zero_tol: float) -> tuple[int, ...]:
+    scale = max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
+    return tuple(int(i) for i in np.nonzero(np.abs(lam) < zero_tol * scale)[0])
 
 
 def _orient_columns(Q: np.ndarray) -> np.ndarray:
@@ -195,15 +223,7 @@ class NormalFormCodim2:
 
     def k_phi(self, phi):
         """Angular quartic form k(phi) = V4(cos phi, sin phi)."""
-        c, s = np.cos(phi), np.sin(phi)
-        q = self.quartic
-        return (
-            q["V2222"] * c**4
-            + q["V2223"] * c**3 * s
-            + q["V2233"] * c**2 * s**2
-            + q["V2333"] * c * s**3
-            + q["V3333"] * s**4
-        )
+        return _binary_quartic([self.quartic[k] for k in _QUARTIC_LABELS], phi)
 
 
 @dataclass
@@ -230,21 +250,18 @@ def _nf_tensors(point, T3, T4):
     return T3, T4
 
 
-def codim1_coefficients(
-    model: PotentialModel,
-    point: StationaryPoint,
-    zero_tol: float | None = None,
-) -> NormalFormCodim1:
+def codim1_coefficients(model: PotentialModel, point: StationaryPoint) -> NormalFormCodim1:
     """Normal-form coefficients C3, C4 for a point with exactly one zero eigenvalue.
 
     C3 is the cubic Taylor coefficient along the soft direction; C4 is the
     quartic one corrected for coupling to the nonzero directions:
     ``C4 = V1111 - (1/2) sum_j V11j^2 / lambda_j``.
     """
-    return _codim1_form(point, _zeros(point, zero_tol), *_raw_tensors(model, point))
+    return _codim1_form(point, *_raw_tensors(model, point))
 
 
-def _codim1_form(point: StationaryPoint, zeros: tuple[int, ...], T3, T4) -> NormalFormCodim1:
+def _codim1_form(point: StationaryPoint, T3, T4) -> NormalFormCodim1:
+    zeros = point.zero_indices
     if len(zeros) != 1:
         raise ValueError(
             f"codim1_coefficients needs exactly one zero eigenvalue, found {len(zeros)}"
@@ -257,34 +274,27 @@ def _codim1_form(point: StationaryPoint, zeros: tuple[int, ...], T3, T4) -> Norm
     lambda2 = None
     others = [j for j in range(len(lam)) if j != i0]
     if others:
-        negs = [j for j in others if lam[j] < 0]
-        lambda2 = float(lam[negs[0]] if negs else min(lam[j] for j in others))
+        # the lowest quadratic eigenvalue: the unstable one when there is one
+        lambda2 = float(min(lam[j] for j in others))
         for j in others:
             V11j = T3[i0, i0, j] / 2.0
             C4 -= 0.5 * V11j**2 / lam[j]
     return NormalFormCodim1(soft_index=i0, lambda2=lambda2, C3=float(C3), C4=float(C4))
 
 
-def _flag_zeros(lam: np.ndarray, zero_tol: float) -> tuple[int, ...]:
-    scale = max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
-    return tuple(int(i) for i in np.nonzero(np.abs(lam) < zero_tol * scale)[0])
-
-
-def _zeros(point: StationaryPoint, zero_tol: float | None) -> tuple[int, ...]:
-    """The point's own zero indices, or those flagged under ``zero_tol``."""
-    return point.zero_indices if zero_tol is None else _flag_zeros(point.eigenvalues, zero_tol)
-
-
 # -- codim 2 -----------------------------------------------------------------
 
-_CUBIC_LABELS = ("V222", "V223", "V233", "V333")
 _QUARTIC_LABELS = ("V2222", "V2223", "V2233", "V2333", "V3333")
 
 
-def _codim2_analysis(
-    model: PotentialModel, point: StationaryPoint, zeros: tuple[int, int]
-) -> NormalFormCodim2:
-    ia, ib = zeros
+def _binary_quartic(qs, phi):
+    """``sum_k qs[k] cos(phi)**(4-k) sin(phi)**k``, coefficients in ``_QUARTIC_LABELS`` order."""
+    c, s = np.cos(phi), np.sin(phi)
+    return qs[0] * c**4 + qs[1] * c**3 * s + qs[2] * c**2 * s**2 + qs[3] * c * s**3 + qs[4] * s**4
+
+
+def _codim2_analysis(model: PotentialModel, point: StationaryPoint) -> NormalFormCodim2:
+    ia, ib = point.zero_indices
     lam = point.eigenvalues
     T3, T4 = _nf_tensors(point, *_raw_tensors(model, point))
 
@@ -391,8 +401,7 @@ def _angular_extrema(quart: dict[str, float]) -> tuple[float, float]:
     qs = [quart[k] for k in _QUARTIC_LABELS]
 
     def k_of(phi):
-        c, s = np.cos(phi), np.sin(phi)
-        return qs[0] * c**4 + qs[1] * c**3 * s + qs[2] * c**2 * s**2 + qs[3] * c * s**3 + qs[4] * s**4
+        return _binary_quartic(qs, phi)
 
     grid = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
     vals = k_of(grid)
@@ -411,23 +420,22 @@ def _angular_extrema(quart: dict[str, float]) -> tuple[float, float]:
     return float(kmin), float(kmax)
 
 
-def codim2_form(
-    model: PotentialModel,
-    point: StationaryPoint,
-    zero_tol: float | None = None,
-) -> NormalFormCodim2:
+def codim2_form(model: PotentialModel, point: StationaryPoint) -> NormalFormCodim2:
     """Quartic normal form for a point with a two-dimensional null eigenspace.
 
     Rejects points whose cubic part on the null space does not vanish (the
     in-scope quartic analysis assumes it; ``classify`` still handles the cubic
     case via the discriminant).
     """
-    zeros = _zeros(point, zero_tol)
+    zeros = point.zero_indices
     if len(zeros) != 2:
         raise ValueError(
             f"codim2_form needs exactly two zero eigenvalues, found {len(zeros)}"
         )
-    nf = _codim2_analysis(model, point, (zeros[0], zeros[1]))
+    return _quartic_only(_codim2_analysis(model, point))
+
+
+def _quartic_only(nf: NormalFormCodim2) -> NormalFormCodim2:
     if nf.discriminant_degree == 3:
         mx = max(abs(v) for v in nf.cubic.values())
         raise ValueError(
@@ -442,46 +450,41 @@ def codim2_form(
 
 
 def classify(
-    model: PotentialModel,
-    point: StationaryPoint,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-    probe_higher: bool = False,
+    model: PotentialModel, point: StationaryPoint, probe_higher: bool = False
 ) -> SaddleClass:
     """Classify a stationary point per the spectral decision tree.
 
-    ``zero_tol`` flags eigenvalues with ``|lambda| < zero_tol * max(1,
-    spectral radius)`` as zero.  With ``probe_higher`` the degenerate
-    ``C3 = C4 = 0`` codim-1 case is resolved by fitting the effective
-    soft-direction potential up to order 8; otherwise it is Undetermined.
+    The soft directions are the point's ``zero_indices``, flagged when it was
+    built.  With ``probe_higher`` the degenerate ``C3 = C4 = 0`` codim-1 case
+    is resolved by fitting the effective soft-direction potential up to order
+    8; otherwise it is Undetermined.
     """
-    lam = point.eigenvalues
-    zeros = _flag_zeros(lam, zero_tol)
-    nonzero = [j for j in range(len(lam)) if j not in zeros]
-    n_neg = sum(1 for j in nonzero if lam[j] < 0)
+    n_zero = len(point.zero_indices)
+    n_neg = point.n_quadratic_unstable
 
     if n_neg >= 2:
         return SaddleClass(SaddleTag.MULTIPLE_NEGATIVE, Verdict.NOT_SADDLE)
 
-    if len(zeros) == 0:
+    if n_zero == 0:
         if n_neg == 0:
             return SaddleClass(SaddleTag.LOCAL_MINIMUM, Verdict.NOT_SADDLE)
         return SaddleClass(SaddleTag.NONDEGENERATE_SADDLE, Verdict.SADDLE)
 
-    if len(zeros) == 1:
-        return _classify_codim1(model, point, zeros[0], n_neg, probe_higher)
+    if n_zero == 1:
+        return _classify_codim1(model, point, probe_higher)
 
-    if len(zeros) == 2:
-        return _classify_codim2(model, point, (zeros[0], zeros[1]), n_neg)
+    if n_zero == 2:
+        return _classify_codim2(model, point)
 
-    return _classify_higher(model, point, zeros)
+    return _classify_higher(model, point)
 
 
-def _classify_codim1(model, point, i0, n_neg, probe_higher) -> SaddleClass:
+def _classify_codim1(model, point, probe_higher) -> SaddleClass:
     # the raw tensors feed both the normal form and the coefficient tolerance
     T3, T4 = _raw_tensors(model, point)
-    nf = _codim1_form(point, (i0,), T3, T4)
+    nf = _codim1_form(point, T3, T4)
     tol = 1e-8 * max(1.0, float(np.max(np.abs(T3))), float(np.max(np.abs(T4))))
-    unstable_present = n_neg == 1
+    unstable_present = point.n_quadratic_unstable == 1
 
     if abs(nf.C3) > tol:
         return SaddleClass(SaddleTag.CODIM1, Verdict.NOT_SADDLE, nf)
@@ -500,7 +503,7 @@ def _classify_codim1(model, point, i0, n_neg, probe_higher) -> SaddleClass:
             notes=["C3 and C4 vanish; enable probe_higher to fit higher orders"],
         )
 
-    order, coeff = _probe_soft_direction(model, point, i0)
+    order, coeff = _probe_soft_direction(model, point, nf.soft_index)
     if order is None:
         return SaddleClass(
             SaddleTag.CODIM1,
@@ -554,8 +557,8 @@ def _probe_soft_direction(model, point, i0, max_order: int = 8):
     return None, None
 
 
-def _classify_codim2(model, point, zeros, n_neg) -> SaddleClass:
-    nf = _codim2_analysis(model, point, zeros)
+def _classify_codim2(model, point) -> SaddleClass:
+    nf = _codim2_analysis(model, point)
     notes = []
     if np.count_nonzero(np.abs(nf.delta_coeffs) > 0) == 0:
         return SaddleClass(
@@ -571,7 +574,7 @@ def _classify_codim2(model, point, zeros, n_neg) -> SaddleClass:
             nf,
             notes=["discriminant has non-simple real roots"],
         )
-    stiff_negative = n_neg == 1  # lambda_3 < 0 column (>= 2 handled earlier)
+    stiff_negative = point.n_quadratic_unstable == 1  # lambda_3 < 0 column (>= 2 handled earlier)
     if nf.discriminant_degree == 3:
         notes.append("cubic terms present on the null space; generic-case table applied")
     if nf.real_root_count > 0:
@@ -585,8 +588,9 @@ def _classify_codim2(model, point, zeros, n_neg) -> SaddleClass:
     return SaddleClass(SaddleTag.CODIM2, verdict, nf, notes=notes)
 
 
-def _classify_higher(model, point, zeros) -> SaddleClass:
+def _classify_higher(model, point) -> SaddleClass:
     # heuristic sign report of the lowest nonvanishing restricted form
+    zeros = point.zero_indices
     B = point.eigenvectors[:, list(zeros)]
     z = point.location
     rng = np.random.default_rng(0)
@@ -669,10 +673,12 @@ def _finite_or_null(obj):
 def saddle_spec(model: PotentialModel, point: StationaryPoint) -> tuple[SaddleSpec, SaddleClass]:
     """Map a classified saddle onto the regime the closed-form rates expect.
 
-    Returns the spec together with the classification it was read from.
-    Raises ``ValueError`` when ``point`` is not a saddle or its gate has no
-    closed form wired up, including a codim-2 gate whose cubic terms on the
-    null space do not vanish.
+    Returns the spec together with the classification it was read from.  A
+    codim-1 gate is transverse when the point has a quadratic unstable
+    direction and longitudinal (the soft direction is the unstable one) when
+    it has none.  Raises ``ValueError`` when ``point`` is not a saddle or its
+    gate has no closed form wired up, including a codim-2 gate whose cubic
+    terms on the null space do not vanish.
     """
     sc = classify(model, point)
     if sc.verdict is not Verdict.SADDLE:
@@ -681,23 +687,21 @@ def saddle_spec(model: PotentialModel, point: StationaryPoint) -> tuple[SaddleSp
             "closed-form rates need a saddle"
         )
     evs = point.eigenvalues
-    zeros = set(point.zero_indices)
-    positive = tuple(float(v) for i, v in enumerate(evs) if i not in zeros and v > 0)
     unstable = -float(evs[0])
     if sc.tag is SaddleTag.NONDEGENERATE_SADDLE:
         regime = Quadratic()
     elif sc.tag is SaddleTag.CODIM1:
         soft = float(evs[sc.detail.soft_index])
         quartic = float(sc.detail.C4)
-        if quartic > 0:
+        if point.n_quadratic_unstable:
             regime = PitchforkTransverse(lambda2=soft, quartic=quartic)
         else:
             regime, unstable = PitchforkLongitudinal(lambda1=soft, quartic=-quartic), None
     elif sc.tag is SaddleTag.CODIM2:
-        regime = Codim2(angular=codim2_form(model, point).k_phi)
+        regime = Codim2(angular=_quartic_only(sc.detail).k_phi)
     else:
         raise ValueError(f"no closed-form rate is wired up for tag {sc.tag.value}")
-    return SaddleSpec(point.value, regime, positive, unstable), sc
+    return SaddleSpec(point.value, regime, point.quadratic_stable, unstable), sc
 
 
 # ---------------------------------------------------------------------------
@@ -747,9 +751,7 @@ _BLOCK_8 = np.ones((3, 3), dtype=bool)
 _RING_8 = np.array([[1, 1, 1], [1, 0, 1], [1, 1, 1]], dtype=bool)
 
 
-def communication_height_2d(
-    model: PotentialModel, a, b, grid, gate_tol: float | None = None
-) -> GateResult:
+def communication_height_2d(model: PotentialModel, a, b, grid) -> GateResult:
     """Exact min-max (communication) height between a and b on a 2-D grid graph.
 
     The height is the lowest grid value ``h`` at which a and b share an
@@ -772,7 +774,7 @@ def communication_height_2d(
     ys = np.linspace(g.ymin, g.ymax, g.ny)
     XX, YY = np.meshgrid(xs, ys, indexing="ij")
     pts = np.column_stack([XX.ravel(), YY.ravel()])
-    V = model(pts).reshape(g.nx, g.ny)
+    V = model.value_many(pts).reshape(g.nx, g.ny)
 
     def snap(p):
         p = np.asarray(p, dtype=float)
@@ -800,7 +802,7 @@ def communication_height_2d(
         for di, dj in _NEIGHBORS_8
         if 0 <= ti + di < g.nx and 0 <= tj + dj < g.ny
     ]
-    tol = gate_tol if gate_tol is not None else max(local) + 1e-12 * max(1.0, abs(height))
+    tol = max(local) + 1e-12 * max(1.0, abs(height))
 
     # witness path: BFS inside {V <= height}
     ii, jj = _bfs_path(V <= height, ja, jb)

@@ -53,19 +53,12 @@ class PotentialModel:
     ----------
     dim : int
         Ambient dimension d.
-    smoothness : int, optional
-        Guaranteed smoothness order (metadata only).
-    confining : bool, optional
-        Caller-asserted flag that level sets are exponentially tight; never
-        verified numerically.
     """
 
-    def __init__(self, dim: int, smoothness: int = 4, confining: bool = True):
+    def __init__(self, dim: int):
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
         self.dim = int(dim)
-        self.smoothness = int(smoothness)
-        self.confining = bool(confining)
 
     # -- evaluation --------------------------------------------------------
 
@@ -76,12 +69,6 @@ class PotentialModel:
         """Evaluate V on an (n, d) array of points.  Loop fallback."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return np.array([self.value(p) for p in pts])
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim <= 1:
-            return self.value(x)
-        return self.value_many(x)
 
     # -- derivatives -------------------------------------------------------
 
@@ -141,32 +128,29 @@ class PotentialModel:
             return self.hessian(x)[dirs[0], dirs[1]]
         return self._fd_nested(x, tuple(dirs), _fd_step(k, x))
 
-    def third_tensor(self, x) -> np.ndarray:
-        """Full symmetric third-derivative tensor, shape (d, d, d)."""
-        d = self.dim
-        T = np.zeros((d, d, d))
-        for idx in itertools.combinations_with_replacement(range(d), 3):
+    def _symmetric_tensor(self, x, order: int) -> np.ndarray:
+        # one partial per multiset of axes, copied to all its permutations
+        T = np.zeros((self.dim,) * order)
+        for idx in itertools.combinations_with_replacement(range(self.dim), order):
             v = self.partial(x, idx)
             for perm in set(itertools.permutations(idx)):
                 T[perm] = v
         return T
 
+    def third_tensor(self, x) -> np.ndarray:
+        """Full symmetric third-derivative tensor, shape (d, d, d)."""
+        return self._symmetric_tensor(x, 3)
+
     def fourth_tensor(self, x) -> np.ndarray:
         """Full symmetric fourth-derivative tensor, shape (d, d, d, d)."""
-        d = self.dim
-        T = np.zeros((d, d, d, d))
-        for idx in itertools.combinations_with_replacement(range(d), 4):
-            v = self.partial(x, idx)
-            for perm in set(itertools.permutations(idx)):
-                T[perm] = v
-        return T
+        return self._symmetric_tensor(x, 4)
 
 
 class FunctionPotential(PotentialModel):
     """Wrap a plain callable ``f(x) -> float`` with finite-difference derivatives."""
 
-    def __init__(self, f, dim: int, smoothness: int = 4, confining: bool = True):
-        super().__init__(dim, smoothness, confining)
+    def __init__(self, f, dim: int):
+        super().__init__(dim)
         self._f = f
 
     def value(self, x) -> float:
@@ -185,7 +169,7 @@ class PolynomialPotential(PotentialModel):
         Ambient dimension; inferred from the exponent vectors if omitted.
     """
 
-    def __init__(self, terms, dim: int | None = None, confining: bool = True):
+    def __init__(self, terms, dim: int | None = None):
         terms = [(tuple(int(e) for e in exps), float(c)) for exps, c in terms]
         if dim is None:
             if not terms:
@@ -198,7 +182,7 @@ class PolynomialPotential(PotentialModel):
                 )
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-        super().__init__(dim, smoothness=10**9, confining=confining)
+        super().__init__(dim)
         merged: dict[tuple[int, ...], float] = {}
         for exps, c in terms:
             merged[exps] = merged.get(exps, 0.0) + c
@@ -277,15 +261,6 @@ class PolynomialPotential(PotentialModel):
 
     # -- serialization -----------------------------------------------------
 
-    def to_dict(self) -> dict:
-        return {
-            "dimension": self.dim,
-            "terms": [
-                {"exponents": [int(e) for e in exps], "coeff": float(c)}
-                for exps, c in zip(self.exponents, self.coefficients)
-            ],
-        }
-
     @classmethod
     def from_dict(cls, doc: dict) -> "PolynomialPotential":
         if "dimension" not in doc or "terms" not in doc:
@@ -317,7 +292,7 @@ class ChainPotential(PotentialModel):
             raise ValueError(f"chain needs N >= 2 particles, got {N}")
         if gamma < 0:
             raise ValueError(f"coupling gamma must be >= 0, got {gamma}")
-        super().__init__(dim=int(N), smoothness=10**9, confining=True)
+        super().__init__(dim=int(N))
         self.N = int(N)
         self.gamma = float(gamma)
         L = np.zeros((N, N))

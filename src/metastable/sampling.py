@@ -29,6 +29,7 @@ from .potentials import PotentialModel
 from .rates import RateResult
 
 __all__ = [
+    "MAX_CENSORED_FRACTION",
     "Ball",
     "SimulationConfig",
     "HittingTimeEstimate",
@@ -43,6 +44,10 @@ __all__ = [
 ]
 
 _CHUNK_STEPS = 256
+
+#: Largest censored fraction a run may have and still be compared with a
+#: closed form: past it the mean over hits is biased low.
+MAX_CENSORED_FRACTION = 0.10
 
 
 @dataclass(frozen=True)
@@ -330,9 +335,10 @@ def validate(
     """
     if not math.isclose(estimate.eps, prediction.eps, rel_tol=1e-12):
         raise ValueError("estimate and prediction use different eps")
-    if estimate.censored_fraction > 0.10:
+    if estimate.censored_fraction > MAX_CENSORED_FRACTION:
         raise ValueError(
-            f"censored fraction {estimate.censored_fraction:.1%} exceeds 10%; "
+            f"censored fraction {estimate.censored_fraction:.1%} exceeds "
+            f"{MAX_CENSORED_FRACTION:.0%}; "
             "extend the horizon instead of comparing a biased mean"
         )
     ratio = estimate.mean / prediction.expected_time

@@ -33,7 +33,6 @@ from metastable import (
     fiber_lower_bound,
     reduced_capacity,
     rotated_two_particle,
-    verification_report,
 )
 from metastable.capacity import _SLAB_ROWS, _tensor_w
 from metastable.cli import main
@@ -455,11 +454,3 @@ def test_box_spec_advisory_messages():
     assert not BoxSpec(delta1=0.1, eps=0.01).advisory_warnings()
 
 
-def test_verification_report_shape(rotated_quadratic):
-    eps = 0.05
-    lower, _ = quadratic_gate_estimates(rotated_quadratic, eps)
-    doc = verification_report(lower, eps * math.sqrt(2.0))
-    assert doc["method"] == "fiber_lower"
-    assert doc["ratio"] == pytest.approx(lower.value / (eps * math.sqrt(2.0)))
-    assert doc["box"]["delta1"] == pytest.approx(lower.box.delta1)
-    assert doc["grid"]["shape"] == list(lower.grid_shape)

@@ -323,6 +323,19 @@ def test_sweep_malformed_grid_exits_1(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("scenario, flag, value", [
+    ("sombrero", "--angular", "9"),
+    ("doublezero", "--quartic", "9"),
+    ("doublezero", "--gate-pairs", "5"),
+    ("transverse", "--angular", "1"),
+])
+def test_sweep_rejects_a_flag_its_scenario_does_not_take(tmp_path, capsys, scenario, flag, value):
+    code = run(tmp_path, "sweep", "--scenario", scenario, "--grid", "0", "--eps", "0.1", flag, value)
+    assert code == 1
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -592,6 +605,12 @@ def test_tabulate_json_format(tmp_path):
     assert set(rows[0]) == {"function", "alpha", "value", "route"}
 
 
+def test_tabulate_special_takes_no_eps(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "tabulate-special", "--alphas", "1.0", "--eps", "0.1")
+    assert exc.value.code == 1
+
+
 # ---------------------------------------------------------------------------
 # manifests and global flags
 # ---------------------------------------------------------------------------
@@ -627,14 +646,16 @@ def test_missing_subcommand_exits_1():
 
 
 def test_csv_format_is_rejected_outside_tabular_commands(tmp_path):
-    code = run(
-        tmp_path,
-        "classify",
-        "--potential", "double_well",
-        "--seeds", "0",
-        "--format", "csv",
-    )
-    assert code == 1
+    # --format exists only on sweep and tabulate-special
+    with pytest.raises(SystemExit) as exc:
+        run(
+            tmp_path,
+            "classify",
+            "--potential", "double_well",
+            "--seeds", "0",
+            "--format", "csv",
+        )
+    assert exc.value.code == 1
 
 
 # ---------------------------------------------------------------------------
@@ -671,14 +692,14 @@ GOLDEN_RUNS = {
         for scenario, grid in _SWEEP_GRIDS.items()
         for suffix, fmt in ((".csv", []), (".json", ["--format", "json"]))
     },
-    # flags reach the sweep they belong to; the others are ignored
+    # flags reach the sweep they belong to
     "sweep_sombrero_flags.csv": [
         "sweep", "--scenario", "sombrero", "--grid=0.05:0.8:6", "--eps", "0.01",
-        "--quartic", "0.25", "--gate-pairs", "4", "--angular", "9",
+        "--quartic", "0.25", "--gate-pairs", "4",
     ],
     "sweep_doublezero_flags.csv": [
         "sweep", "--scenario", "doublezero", "--grid=-0.3:0.5:9", "--eps", "0.05",
-        "--angular", "0.25", "--quartic", "9", "--gate-pairs", "5",
+        "--angular", "0.25",
     ],
     "verify_rotated2.json": [
         "verify", "--potential", "rotated2", "--params", "gamma=0.5",

@@ -12,9 +12,11 @@ from hypothesis.extra import numpy as hnp
 
 from metastable import (
     GridSpec2D,
+    MinimumSpec,
     NormalFormCodim1,
     PotentialModel,
     NormalFormCodim2,
+    PitchforkTransverse,
     PolynomialPotential,
     SaddleClass,
     SaddleTag,
@@ -23,10 +25,12 @@ from metastable import (
     chain_potential,
     classification_report,
     classify,
+    closed_rate,
     codim1_coefficients,
     codim2_form,
     communication_height_2d,
     critical_coupling,
+    default_box,
     double_well_1d,
     find_stationary_points,
     rotated_two_particle,
@@ -130,13 +134,33 @@ def test_classify_codim1_soft_unstable_direction():
 
 def test_classify_codim1_under_a_custom_zero_tol():
     # eigenvalues -1 and 0.04: soft only under zero_tol = 0.1, not under the
-    # point's own tolerance, so the normal form must use classify's flags
+    # default tolerance, so classify must follow the point's own flags
     model = rotated_two_particle(0.52)
-    point = StationaryPoint.at(model, [0, 0])
-    assert point.zero_indices == ()
-    sc = classify(model, point, zero_tol=0.1)
+    assert StationaryPoint.at(model, [0, 0]).zero_indices == ()
+    point = StationaryPoint.at(model, [0, 0], zero_tol=0.1)
+    assert point.zero_indices == (1,)
+    sc = classify(model, point)
     assert sc.tag is SaddleTag.CODIM1
     assert sc.detail.soft_index == 1
+
+
+def test_soft_flags_set_at_build_time_reach_spec_box_and_rate():
+    # eigenvalues -1 and 8e-4: soft under zero_tol = 1e-3 only; the spec, the
+    # capacity box and the closed-form rate all read the point's flags
+    model = rotated_two_particle(0.5004)
+    (saddle,) = find_stationary_points(model, [[0.0, 0.0]], zero_tol=1e-3)
+    assert saddle.zero_indices == (1,)
+    spec, sc = saddle_spec(model, saddle)
+    assert sc.tag is SaddleTag.CODIM1 and sc.verdict is Verdict.SADDLE
+    assert isinstance(spec.regime, PitchforkTransverse) and spec.dimension == 2
+    assert spec.regime.lambda2 == pytest.approx(8e-4)
+    assert spec.regime.quartic == pytest.approx(0.125)
+    box = default_box(model, saddle, 0.05)
+    assert box.delta2 is not None and box.deltaj == ()
+    (minimum,) = find_stationary_points(model, [[1.4, 0.1]])
+    result = closed_rate(MinimumSpec(minimum.value, eigenvalues=minimum.eigenvalues), spec, 0.05)
+    assert result.dimension == 2
+    assert math.isfinite(result.prefactor) and math.isfinite(result.expected_time)
 
 
 def test_classify_codim1_degenerate_probe_higher():

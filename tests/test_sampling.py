@@ -206,7 +206,7 @@ def replay(model, config, replica):
 def test_mixed_hits_and_aborts_match_replicas_stepped_alone():
     # a well at 0 with runaway tails beyond |x| = 1: replicas reach the target
     # at -0.6 or escape over the barrier at +1 and leave the confinement ball
-    leaky = PolynomialPotential([((2,), 0.5), ((4,), -0.25)], dim=1, confining=False)
+    leaky = PolynomialPotential([((2,), 0.5), ((4,), -0.25)], dim=1)
     config = SimulationConfig(
         eps=0.4,
         dt=1e-3,
@@ -292,7 +292,7 @@ def test_short_horizon_censors_and_validate_refuses(dw):
 
 
 def test_runaway_model_aborts_replicas_with_a_warning():
-    runaway = FunctionPotential(lambda x: -float(x[0]) ** 4 / 4.0, dim=1, confining=False)
+    runaway = FunctionPotential(lambda x: -float(x[0]) ** 4 / 4.0, dim=1)
     config = SimulationConfig(
         eps=0.2,
         dt=1e-3,
