@@ -459,7 +459,6 @@ def _build_parser() -> _Parser:
         if eps:
             p.add_argument("--eps", help="comma-separated noise intensities")
         p.add_argument("--out", default=".", help="output directory (default: current)")
-        p.add_argument("--seed", type=int, default=0, help="64-bit random seed")
         if tabular:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -489,6 +488,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="Monte Carlo first-hitting times")
     common(p)
+    p.add_argument("--seed", type=int, default=0, help="64-bit random seed")
     p.add_argument("--start", required=True)
     p.add_argument("--target", required=True, help="target ball center")
     p.add_argument("--radius", type=float, default=None, help="target radius (default 3 sqrt(eps))")

@@ -678,7 +678,8 @@ def saddle_spec(model: PotentialModel, point: StationaryPoint) -> tuple[SaddleSp
     direction and longitudinal (the soft direction is the unstable one) when
     it has none.  Raises ``ValueError`` when ``point`` is not a saddle or its
     gate has no closed form wired up, including a codim-2 gate whose cubic
-    terms on the null space do not vanish.
+    terms on the null space do not vanish or that has no quadratic unstable
+    direction.
     """
     sc = classify(model, point)
     if sc.verdict is not Verdict.SADDLE:
@@ -699,6 +700,11 @@ def saddle_spec(model: PotentialModel, point: StationaryPoint) -> tuple[SaddleSp
             regime, unstable = PitchforkLongitudinal(lambda1=soft, quartic=-quartic), None
     elif sc.tag is SaddleTag.CODIM2:
         regime = Codim2(angular=_quartic_only(sc.detail).k_phi)
+        if not point.n_quadratic_unstable:
+            raise ValueError(
+                "no closed-form rate is wired up for a codim-2 gate whose "
+                "unstable directions are soft"
+            )
     else:
         raise ValueError(f"no closed-form rate is wired up for tag {sc.tag.value}")
     return SaddleSpec(point.value, regime, point.quadratic_stable, unstable), sc

@@ -194,6 +194,14 @@ class PolynomialPotential(PotentialModel):
         self._top = int(self.exponents.max(initial=0))
         self._grad_polys = [self._differentiated(*self._terms, i) for i in range(dim)]
         self._grad_top = max(int(idx.max(initial=0)) // dim for idx, _ in self._grad_polys)
+        # the terms of all d gradient polynomials are gathered at once (in 1-D a
+        # term is a table row); axis i weighs its own block of rows
+        grad_idx = np.concatenate([idx for idx, _ in self._grad_polys])
+        self._grad_gather = grad_idx[:, 0] if dim == 1 else grad_idx
+        bounds = [0, *itertools.accumulate(len(c) for _, c in self._grad_polys)]
+        self._grad_blocks = [
+            (c, slice(lo, hi)) for (_, c), lo, hi in zip(self._grad_polys, bounds, bounds[1:])
+        ]
 
     def _differentiated(self, idx, coeffs, axis: int) -> tuple[np.ndarray, np.ndarray]:
         """Table rows and coefficients of the derivative along ``axis`` of the given terms."""
@@ -212,8 +220,9 @@ class PolynomialPotential(PotentialModel):
         table[1:2] = pts.T
         # one product per power: np.multiply.accumulate along the power axis
         # runs an inner loop per (axis, point) pair and is ~10x slower at n=4000
+        x = power = table[1:2]
         for e in range(2, top + 1):
-            np.multiply(table[e - 1], table[1], out=table[e])
+            power = np.multiply(power, x, out=table[e : e + 1])
         return table.reshape((top + 1) * d, n)
 
     @staticmethod
@@ -231,17 +240,19 @@ class PolynomialPotential(PotentialModel):
         return self._eval_terms(*self._terms, self._power_table(pts, self._top))
 
     def _gradients(self, pts: np.ndarray) -> np.ndarray:
-        table = self._power_table(pts, self._grad_top)
+        terms = self._power_table(pts, self._grad_top)[self._grad_gather]
+        if terms.ndim == 3:
+            terms = np.multiply.reduce(terms, axis=1)
         grad = np.empty(pts.shape)
-        for axis, (idx, c) in enumerate(self._grad_polys):
-            self._eval_terms(idx, c, table, out=grad[:, axis])
+        for axis, (c, rows) in enumerate(self._grad_blocks):
+            np.matmul(c, terms[rows], out=grad[:, axis])
         return grad
 
     def gradient(self, x) -> np.ndarray:
         return self._gradients(np.asarray(x, dtype=float).reshape(1, self.dim))[0]
 
     def gradient_many(self, pts: np.ndarray) -> np.ndarray:
-        return self._gradients(np.atleast_2d(np.asarray(pts, dtype=float)))
+        return self._gradients(np.asarray(pts, dtype=float))
 
     def partial(self, x, dirs: tuple[int, ...]) -> float:
         x = np.asarray(x, dtype=float).reshape(1, self.dim)

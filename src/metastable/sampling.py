@@ -7,12 +7,23 @@ validation of the closed-form predictions in :mod:`metastable.rates`.
 Every replica owns a counter-based random stream keyed by ``(seed, replica)``,
 so results are bit-identical for a fixed ``(seed, replicas, dt)`` and the
 first ``n`` replicas of a larger run reproduce a smaller run exactly.
-Noise is drawn per chunk of ``_CHUNK_STEPS`` steps, laid out as
-``(steps, live replicas, d)`` and scaled by the kick once, so each step reads
-one contiguous slab.  Each step evaluates the gradient on the live replicas
-only; positions, replica ids and the chunk's remaining noise are compacted
-on the steps where a replica hits or is aborted, and on no other step.
-Aggregation uses numpy's pairwise summation, so reduction order is fixed.
+
+Noise is drawn per chunk of ``_CHUNK_STEPS`` steps into a
+``(live replicas, steps, d)`` block: each replica's stream fills its own
+contiguous row, the block is scaled by the kick once, and step ``j`` reads
+``noise[:, j]``.  Each step evaluates the gradient on the live replicas only.
+Positions, replica ids and the noise of the chunk's remaining steps are
+compacted on the steps where a replica hits or is aborted, and on no other
+step; boolean selection keeps the replicas in order.
+
+For a one-ball target ``{|x - c| <= r}`` each step computes ``|x - c|^2``
+once.  The exact blow-up test ``|x|^2 > R^2`` runs only on steps where a
+replica hit or lies farther than ``(R - |c|)/2`` from the centre.  Skipping it
+elsewhere is safe because ``|x| > R`` implies ``|x - c| > R - |c|``; a NaN
+row fails both tests and runs on, as it would under the exact test.  A
+union of several balls is tested ball by ball, with the exact blow-up test on
+every step.  Aggregation uses numpy's pairwise summation, so reduction order
+is fixed.
 """
 
 from __future__ import annotations
@@ -59,6 +70,8 @@ class Ball:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float).ravel())
+        if not np.all(np.isfinite(self.center)):
+            raise ValueError("center must be finite")
         if not self.radius > 0.0:
             raise ValueError("radius must be positive")
 
@@ -176,11 +189,21 @@ class ValidationReport:
     tolerance: float
 
 
+def _dist2(pts: np.ndarray, center: np.ndarray) -> np.ndarray:
+    diff = pts - center
+    if diff.shape[1] > 2:
+        return np.einsum("ij,ij->i", diff, diff)
+    # in one and two dimensions the squared columns added in order give the
+    # einsum's bits without its fixed cost (in three it adds in another order)
+    diff *= diff
+    return diff[:, 0] + diff[:, 1] if diff.shape[1] == 2 else diff[:, 0]
+
+
 def _in_target(pts: np.ndarray, targets: tuple[Ball, ...]) -> np.ndarray:
-    hit = np.zeros(pts.shape[0], dtype=bool)
-    for ball in targets:
-        diff = pts - ball.center[None, :]
-        hit |= np.einsum("ij,ij->i", diff, diff) <= ball.radius**2
+    first, *rest = targets
+    hit = _dist2(pts, first.center) <= first.radius**2
+    for ball in rest:
+        hit |= _dist2(pts, ball.center) <= ball.radius**2
     return hit
 
 
@@ -216,8 +239,17 @@ def simulate_first_hitting(
         )
 
     n_steps = max(1, int(round(config.max_time / config.dt)))
-    kick = math.sqrt(2.0 * config.eps * config.dt)
+    dt = config.dt
+    kick = math.sqrt(2.0 * config.eps * dt)
     conf2 = config.confinement_radius**2
+    gradient_many = model.gradient_many
+    one_ball = len(config.target) == 1
+    if one_ball:
+        center, r2 = config.target[0].center, config.target[0].radius ** 2
+        # |x| > R implies |x - c| > R - |c|: on a step where every replica is
+        # within half that margin of the centre and none hit, none blew up
+        margin = 0.5 * max(config.confinement_radius - float(np.linalg.norm(center)), 0.0)
+        safe2 = margin * margin
     rngs = [
         np.random.Generator(np.random.Philox(key=(int(config.seed) << 64) + r))
         for r in range(n)
@@ -231,25 +263,33 @@ def simulate_first_hitting(
 
     while done_steps < n_steps and active.size:
         span = min(_CHUNK_STEPS, n_steps - done_steps)
-        noise = np.empty((span, active.size, d))
+        noise = np.empty((active.size, span, d))
         for row, replica in enumerate(active):
-            noise[:, row] = rngs[replica].standard_normal((span, d))
+            rngs[replica].standard_normal(out=noise[row])
         noise *= kick
+        offset = 0  # chunk steps whose noise columns a compaction dropped
         for j in range(span):
-            pos = pos - model.gradient_many(pos) * config.dt + noise[j]
-            hit = _in_target(pos, config.target)
+            pos -= gradient_many(pos) * dt
+            pos += noise[:, j - offset]
+            if one_ball:
+                dist2 = _dist2(pos, center)
+                hit = dist2 <= r2
+                if not np.count_nonzero(hit | (dist2 > safe2)):
+                    continue
+            else:
+                hit = _in_target(pos, config.target)
             blown = np.einsum("ij,ij->i", pos, pos) > conf2
             stop = hit | blown
-            if stop.any():
-                hit_step[active[hit]] = done_steps + j + 1
-                status[active[hit]] = 1
-                status[active[blown & ~hit]] = 3
-                live = ~stop
-                pos, active = pos[live], active[live]
-                if not active.size:
-                    break
-                noise[j + 1 :, : active.size] = noise[j + 1 :, live]
-                noise = noise[:, : active.size]
+            if not np.count_nonzero(stop):
+                continue
+            hit_step[active[hit]] = done_steps + j + 1
+            status[active[hit]] = 1
+            status[active[blown & ~hit]] = 3
+            live = ~stop
+            pos, active = pos[live], active[live]
+            noise, offset = noise[live, j + 1 - offset :], j + 1
+            if not active.size:
+                break
         done_steps += span
 
     status[status == 0] = 2

@@ -439,6 +439,25 @@ def test_cubic_codim2_saddle_exits_without_a_traceback(tmp_path, capsys, command
     assert len(message) == 1 and "cubic terms on the null space" in message[0]
 
 
+def test_codim2_gate_with_soft_unstable_directions_exits_1_without_a_traceback(tmp_path, capsys):
+    # Re((x + iy)^4)/4 + |z|^6/6: minima at |z| = 1, and a codim-2 origin
+    # with no quadratic unstable direction
+    path = tmp_path / "soft_codim2.json"
+    terms = [((4, 0), 0.25), ((2, 2), -1.5), ((0, 4), 0.25),
+             ((6, 0), 1 / 6), ((4, 2), 0.5), ((2, 4), 0.5), ((0, 6), 1 / 6)]
+    path.write_text(json.dumps({"dimension": 2, "terms": [
+        {"exponents": list(e), "coeff": c} for e, c in terms
+    ]}))
+    code = run(tmp_path, "rate", "--potential", str(path), "--minimum-seed", "0.7,0.7",
+               "--saddle-seed", "0,0", "--eps", "0.1")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    message = [line for line in err.splitlines() if line.startswith("metastable rate:")]
+    assert len(message) == 1 and "unstable directions are soft" in message[0]
+    assert not (tmp_path / "rate.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -643,6 +662,25 @@ def test_missing_subcommand_exits_1():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 1
+
+
+def test_seed_is_rejected_outside_simulate(tmp_path):
+    # only simulate draws random numbers
+    with pytest.raises(SystemExit) as exc:
+        run(
+            tmp_path,
+            "rate",
+            "--potential", "double_well",
+            "--minimum-seed=-1", "--saddle-seed=0",
+            "--eps", "0.2",
+            "--seed", "3",
+        )
+    assert exc.value.code == 1
+
+
+def test_manifest_records_a_null_seed_outside_simulate(tmp_path):
+    run(tmp_path, "classify", "--potential", "double_well", "--seeds", "0")
+    assert read_json(tmp_path, "manifest.json")["seed"] is None
 
 
 def test_csv_format_is_rejected_outside_tabular_commands(tmp_path):

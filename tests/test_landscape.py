@@ -536,3 +536,14 @@ def test_saddle_spec_rejects_gates_without_a_closed_form(dw, chain3_critical):
         saddle_spec(cubic, StationaryPoint.at(cubic, np.zeros(3)))
     spec, sc = saddle_spec(chain3_critical, StationaryPoint.at(chain3_critical, np.zeros(3)))
     assert sc.tag is SaddleTag.CODIM2 and spec.dimension == 3
+
+
+def test_saddle_spec_rejects_a_codim2_gate_whose_unstable_directions_are_soft():
+    # (x^4 - 6 x^2 y^2 + y^4)/4: both eigenvalues vanish, the quartic changes sign
+    model = poly(2, ((4, 0), 0.25), ((2, 2), -1.5), ((0, 4), 0.25))
+    point = StationaryPoint.at(model, np.zeros(2))
+    sc = classify(model, point)
+    assert sc.tag is SaddleTag.CODIM2 and sc.verdict is Verdict.SADDLE
+    assert point.n_quadratic_unstable == 0
+    with pytest.raises(ValueError, match="codim-2 gate whose unstable directions are soft"):
+        saddle_spec(model, point)

@@ -160,6 +160,35 @@ def test_power_table_kernel_agrees_with_float_powers(name):
         assert close(grads[:, axis], float_powers(d_exps, coeffs[keep] * exps[keep, axis]))
 
 
+def _per_axis_gradients(model, pts):
+    # reference: one gather, product and gemv per gradient polynomial
+    table = model._power_table(pts, model._grad_top)
+    grad = np.empty(pts.shape)
+    for axis, (idx, c) in enumerate(model._grad_polys):
+        np.matmul(c, np.multiply.reduce(table[idx], axis=1), out=grad[:, axis])
+    return grad
+
+
+GATHER_MODELS = {
+    "double_well": double_well_1d,
+    "rotated2": lambda: rotated_two_particle(0.5),
+    "poly3": lambda: PolynomialPotential([
+        ((2, 0, 0), -0.5), ((1, 1, 0), 0.3), ((0, 2, 0), 0.4), ((0, 1, 1), -0.2),
+        ((0, 0, 2), 0.6), ((4, 0, 0), 0.25), ((2, 2, 0), 0.5), ((0, 1, 3), 0.1),
+    ]),
+    "hand_built": _hand_built,
+}
+
+
+@pytest.mark.parametrize("n", [1, 7, 46, 3999, 4000])
+@pytest.mark.parametrize("name", sorted(GATHER_MODELS))
+def test_gradient_many_equals_the_per_axis_kernel_bit_for_bit(name, n):
+    model = GATHER_MODELS[name]()
+    pts = np.random.default_rng(n).uniform(-2.0, 2.0, size=(n, model.dim))
+    assert np.array_equal(model.gradient_many(pts), _per_axis_gradients(model, pts))
+    assert np.array_equal(model.gradient(pts[-1]), _per_axis_gradients(model, pts[-1:])[0])
+
+
 def test_rotated_two_particle_matches_rotated_chain():
     # the quartic polynomial is the N=2 chain expressed in sum/difference modes
     gamma = 0.8

@@ -29,7 +29,7 @@ from metastable import (
     validate,
     write_times_csv,
 )
-from metastable.sampling import _CHUNK_STEPS, _error_magnitude
+from metastable.sampling import _CHUNK_STEPS, _dist2, _error_magnitude
 
 WELL = Ball(center=(1.0,), radius=0.2)
 SQ2 = math.sqrt(2.0)
@@ -185,6 +185,53 @@ def test_seeded_rotated2_run_is_pinned(rotated_flat):
     )
 
 
+# Hit steps of a seeded run on a union of two balls (replica 7 enters the ball
+# at +1, the other hits the ball at -1), recorded from the loop with the
+# (steps, replicas, d) noise layout; this run takes the several-ball target test.
+PINNED_UNION_STEPS = [360, 321, 281, 201, None, 159, None, 275, 199, None, None, 662]
+
+
+def test_seeded_union_target_run_is_pinned(dw):
+    config = dw_config(
+        eps=0.3,
+        max_time=0.8,
+        replicas=12,
+        seed=31,
+        start=(-0.2,),
+        target=(WELL, Ball(center=(-1.0,), radius=0.2)),
+        keep_times=True,
+    )
+    est = simulate_first_hitting(dw, config)
+    assert hit_steps(est, config.dt) == PINNED_UNION_STEPS
+    assert est.statuses == tuple(
+        "censored" if s is None else "hit" for s in PINNED_UNION_STEPS
+    )
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_squared_distance_equals_the_einsum_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    pts = rng.normal(size=(5000, d)) * rng.uniform(0.01, 100.0, size=(5000, 1))
+    pts[:3] = [[math.inf], [math.nan], [1e200]]
+    center = rng.normal(size=d)
+    diff = pts - center
+    with np.errstate(over="ignore"):  # 1e200 squared
+        dist2 = _dist2(pts, center)
+    assert np.array_equal(dist2, np.einsum("ij,ij->i", diff, diff), equal_nan=True)
+
+
+def test_drawing_into_a_row_gives_the_shaped_draw():
+    # the sampler draws each replica's chunk into its own row of a
+    # (replicas, steps, d) block; the values must be those of a shaped draw
+    key = (5 << 64) + 3
+    shaped = np.random.Generator(np.random.Philox(key=key))
+    into_rows = np.random.Generator(np.random.Philox(key=key))
+    for span in (_CHUNK_STEPS, 37):
+        block = np.empty((4, span, 2))
+        into_rows.standard_normal(out=block[1])
+        assert np.array_equal(block[1], shaped.standard_normal((span, 2)))
+
+
 def replay(model, config, replica):
     """One replica stepped alone from its own stream: (status, hit step or None)."""
     rng = np.random.Generator(np.random.Philox(key=(config.seed << 64) + replica))
@@ -228,6 +275,36 @@ def test_mixed_hits_and_aborts_match_replicas_stepped_alone():
         zip(est.statuses, hit_steps(est, config.dt))
     )
     assert est.mean == float(np.mean([t for t in est.times if not math.isnan(t)]))
+
+
+# Hit steps of the two-dimensional run below, recorded from the loop with the
+# (steps, replicas, d) noise layout and the exact blow-up test on every step.
+PINNED_LEAKY2_STEPS = [1436, 1315, None, 87, None, None, None, 165, 1250, None, 1967, 929]
+
+
+def test_two_dimensional_hits_and_aborts_match_replicas_stepped_alone():
+    # a well at 0 with runaway tails beyond |x| = 1; the target centre lies
+    # 0.54 from the origin in a confinement ball of radius 1.4, so a replica
+    # only 0.43 from the centre may already be close to leaving the ball
+    leaky = PolynomialPotential([((2, 0), 0.5), ((4, 0), -0.25), ((0, 2), 1.0)], dim=2)
+    config = SimulationConfig(
+        eps=0.35,
+        dt=1e-3,
+        max_time=2.5,
+        replicas=12,
+        seed=4,
+        start=(0.0, 0.0),
+        target=Ball(center=(-0.5, 0.2), radius=0.1),
+        confinement_radius=1.4,
+        keep_times=True,
+    )
+    with pytest.warns(UserWarning, match="confinement radius"):
+        est = simulate_first_hitting(leaky, config)
+    assert set(est.statuses) == {"hit", "censored", "aborted"}
+    assert hit_steps(est, config.dt) == PINNED_LEAKY2_STEPS
+    assert [replay(leaky, config, r) for r in range(12)] == list(
+        zip(est.statuses, hit_steps(est, config.dt))
+    )
 
 
 def test_different_seeds_give_different_trajectories(dw):
@@ -526,6 +603,12 @@ def test_start_must_match_the_model_dimension(dw):
 def test_ball_requires_positive_radius():
     with pytest.raises(ValueError, match="radius"):
         Ball(center=(0.0,), radius=0.0)
+
+
+@pytest.mark.parametrize("center", [(math.nan,), (math.inf, 0.0)])
+def test_ball_requires_a_finite_center(center):
+    with pytest.raises(ValueError, match="finite"):
+        Ball(center=center, radius=0.2)
 
 
 def test_single_ball_target_is_normalized_to_a_tuple():
