@@ -252,7 +252,7 @@ class PolynomialPotential(PotentialModel):
         return self._gradients(np.asarray(x, dtype=float).reshape(1, self.dim))[0]
 
     def gradient_many(self, pts: np.ndarray) -> np.ndarray:
-        return self._gradients(np.asarray(pts, dtype=float))
+        return self._gradients(np.atleast_2d(np.asarray(pts, dtype=float)))
 
     def partial(self, x, dirs: tuple[int, ...]) -> float:
         x = np.asarray(x, dtype=float).reshape(1, self.dim)

@@ -16,14 +16,14 @@ Positions, replica ids and the noise of the chunk's remaining steps are
 compacted on the steps where a replica hits or is aborted, and on no other
 step; boolean selection keeps the replicas in order.
 
-For a one-ball target ``{|x - c| <= r}`` each step computes ``|x - c|^2``
-once.  The exact blow-up test ``|x|^2 > R^2`` runs only on steps where a
-replica hit or lies farther than ``(R - |c|)/2`` from the centre.  Skipping it
-elsewhere is safe because ``|x| > R`` implies ``|x - c| > R - |c|``; a NaN
-row fails both tests and runs on, as it would under the exact test.  A
-union of several balls is tested ball by ball, with the exact blow-up test on
-every step.  Aggregation uses numpy's pairwise summation, so reduction order
-is fixed.
+The target, a union of balls ``{|x - c_k| <= r_k}``, is tested ball by ball;
+the squared distance ``|x - c_0|^2`` to the first centre also serves the
+blow-up guard.  The exact blow-up test ``|x|^2 > R^2`` runs only on steps
+where a replica hit or lies farther than ``(R - |c_0|)/2`` from that centre.
+Skipping it elsewhere is safe because ``|x| > R`` implies
+``|x - c_0| > R - |c_0|``, whatever the other balls are; a NaN row fails
+both tests and runs on, as it would under the exact test.  Aggregation uses
+numpy's pairwise summation, so reduction order is fixed.
 """
 
 from __future__ import annotations
@@ -199,12 +199,14 @@ def _dist2(pts: np.ndarray, center: np.ndarray) -> np.ndarray:
     return diff[:, 0] + diff[:, 1] if diff.shape[1] == 2 else diff[:, 0]
 
 
-def _in_target(pts: np.ndarray, targets: tuple[Ball, ...]) -> np.ndarray:
+def _in_target(pts: np.ndarray, targets: tuple[Ball, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Membership in the union of balls, and the squared distance to the first centre."""
     first, *rest = targets
-    hit = _dist2(pts, first.center) <= first.radius**2
+    dist2 = _dist2(pts, first.center)
+    hit = dist2 <= first.radius**2
     for ball in rest:
         hit |= _dist2(pts, ball.center) <= ball.radius**2
-    return hit
+    return hit, dist2
 
 
 def simulate_first_hitting(
@@ -224,7 +226,8 @@ def simulate_first_hitting(
         raise ValueError("start dimension does not match the model")
     n = config.replicas
 
-    if bool(_in_target(start[None, :], config.target)[0]):
+    start_hit, _ = _in_target(start[None, :], config.target)
+    if bool(start_hit[0]):
         kept = tuple(0.0 for _ in range(n)) if config.keep_times else None
         statuses = tuple("hit" for _ in range(n)) if config.keep_times else None
         return HittingTimeEstimate(
@@ -243,13 +246,11 @@ def simulate_first_hitting(
     kick = math.sqrt(2.0 * config.eps * dt)
     conf2 = config.confinement_radius**2
     gradient_many = model.gradient_many
-    one_ball = len(config.target) == 1
-    if one_ball:
-        center, r2 = config.target[0].center, config.target[0].radius ** 2
-        # |x| > R implies |x - c| > R - |c|: on a step where every replica is
-        # within half that margin of the centre and none hit, none blew up
-        margin = 0.5 * max(config.confinement_radius - float(np.linalg.norm(center)), 0.0)
-        safe2 = margin * margin
+    target = config.target
+    # |x| > R implies |x - c_0| > R - |c_0|: on a step where every replica is
+    # within half that margin of the first centre and none hit, none blew up
+    margin = 0.5 * max(config.confinement_radius - float(np.linalg.norm(target[0].center)), 0.0)
+    safe2 = margin * margin
     rngs = [
         np.random.Generator(np.random.Philox(key=(int(config.seed) << 64) + r))
         for r in range(n)
@@ -271,13 +272,9 @@ def simulate_first_hitting(
         for j in range(span):
             pos -= gradient_many(pos) * dt
             pos += noise[:, j - offset]
-            if one_ball:
-                dist2 = _dist2(pos, center)
-                hit = dist2 <= r2
-                if not np.count_nonzero(hit | (dist2 > safe2)):
-                    continue
-            else:
-                hit = _in_target(pos, config.target)
+            hit, dist2 = _in_target(pos, target)
+            if not np.count_nonzero(hit | (dist2 > safe2)):
+                continue
             blown = np.einsum("ij,ij->i", pos, pos) > conf2
             stop = hit | blown
             if not np.count_nonzero(stop):

@@ -189,6 +189,16 @@ def test_gradient_many_equals_the_per_axis_kernel_bit_for_bit(name, n):
     assert np.array_equal(model.gradient(pts[-1]), _per_axis_gradients(model, pts[-1:])[0])
 
 
+@pytest.mark.parametrize(
+    "model", [double_well_1d(), rotated_two_particle(0.5), _hand_built(), chain_potential(3, 0.5)]
+)
+def test_batch_methods_take_a_single_point_as_a_batch_of_one(model):
+    x = np.linspace(-0.7, 0.9, model.dim)
+    assert np.array_equal(model.value_many(x), model.value_many(x[None, :]))
+    assert np.array_equal(model.gradient_many(x), model.gradient_many(x[None, :]))
+    assert model.gradient_many(x).shape == (1, model.dim)
+
+
 def test_rotated_two_particle_matches_rotated_chain():
     # the quartic polynomial is the N=2 chain expressed in sum/difference modes
     gamma = 0.8

@@ -1,6 +1,7 @@
 """Tests for the Euler--Maruyama first-hitting-time sampler."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -187,7 +188,7 @@ def test_seeded_rotated2_run_is_pinned(rotated_flat):
 
 # Hit steps of a seeded run on a union of two balls (replica 7 enters the ball
 # at +1, the other hits the ball at -1), recorded from the loop with the
-# (steps, replicas, d) noise layout; this run takes the several-ball target test.
+# (steps, replicas, d) noise layout and the exact blow-up test on every step.
 PINNED_UNION_STEPS = [360, 321, 281, 201, None, 159, None, 275, 199, None, None, 662]
 
 
@@ -303,6 +304,31 @@ def test_two_dimensional_hits_and_aborts_match_replicas_stepped_alone():
     assert set(est.statuses) == {"hit", "censored", "aborted"}
     assert hit_steps(est, config.dt) == PINNED_LEAKY2_STEPS
     assert [replay(leaky, config, r) for r in range(12)] == list(
+        zip(est.statuses, hit_steps(est, config.dt))
+    )
+
+
+def test_union_target_takes_the_blow_up_margin_from_its_first_ball():
+    # the run above with a tiny first ball near the start put in front of its
+    # target: the lazy blow-up test now measures from that ball's centre, and
+    # every replica must still end as it does stepped alone on the one ball
+    leaky = PolynomialPotential([((2, 0), 0.5), ((4, 0), -0.25), ((0, 2), 1.0)], dim=2)
+    config = SimulationConfig(
+        eps=0.35,
+        dt=1e-3,
+        max_time=2.5,
+        replicas=12,
+        seed=4,
+        start=(0.0, 0.0),
+        target=(Ball(center=(0.05, 0.0), radius=1e-4), Ball(center=(-0.5, 0.2), radius=0.1)),
+        confinement_radius=1.4,
+        keep_times=True,
+    )
+    with pytest.warns(UserWarning, match="confinement radius"):
+        est = simulate_first_hitting(leaky, config)
+    one_ball = dataclasses.replace(config, target=config.target[1])
+    assert hit_steps(est, config.dt) == PINNED_LEAKY2_STEPS
+    assert [replay(leaky, one_ball, r) for r in range(12)] == list(
         zip(est.statuses, hit_steps(est, config.dt))
     )
 
