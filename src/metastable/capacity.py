@@ -63,6 +63,9 @@ _REL_TOL = 1e-6
 # on chain 129^3 and 257^3 and rotated2 1025^2 grids 2**15 was within 3% of the
 # fastest size, 2**17 was 16-50% slower and one call per grid 3-6 times slower
 _SLAB_ROWS = 2**15
+# order r + 1 of the normal-form remainder in the advisory box-width check
+# (delta1 + delta2)**(r+1) = o(eps |log eps|)
+_REMAINDER_ORDER = 5
 
 
 @dataclass(frozen=True)
@@ -80,16 +83,12 @@ class BoxSpec:
     deltaj : tuple of float
         Half-widths of the quadratic stable axes, in ascending-eigenvalue
         order (shape ``delta / sqrt(lambda_j)``).
-    remainder_order : int
-        Order ``r + 1`` of the normal-form remainder used by the advisory
-        width check ``(delta1 + delta2)**(r+1) = o(eps |log eps|)``.
     """
 
     delta1: float
     eps: float
     delta2: float | None = None
     deltaj: tuple[float, ...] = ()
-    remainder_order: int = 5
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "deltaj", tuple(float(v) for v in self.deltaj))
@@ -107,10 +106,10 @@ class BoxSpec:
         out = []
         spread = self.delta1 + (self.delta2 or 0.0)
         budget = self.eps * abs(math.log(self.eps))
-        if spread**self.remainder_order > budget:
+        if spread**_REMAINDER_ORDER > budget:
             out.append(
-                f"(delta1 + delta2)^{self.remainder_order} = "
-                f"{spread ** self.remainder_order:.3e} exceeds eps |log eps| = "
+                f"(delta1 + delta2)^{_REMAINDER_ORDER} = "
+                f"{spread ** _REMAINDER_ORDER:.3e} exceeds eps |log eps| = "
                 f"{budget:.3e}; normal-form remainders may not be negligible"
             )
         return out
@@ -209,8 +208,10 @@ def default_box(
 # reduced integral formula
 
 
-def _checked_quad(f: Callable[[float], float], a: float, b: float, what: str) -> float:
-    value, err = quad(f, a, b, **_QUAD_OPTS)
+def _checked_quad(
+    f: Callable[[float], float], a: float, b: float, what: str, points=None
+) -> float:
+    value, err = quad(f, a, b, points=points, **_QUAD_OPTS)
     tol = max(1e-12, 1e-8 * abs(value))
     if err > tol:
         raise RuntimeError(
@@ -539,19 +540,13 @@ def capacity_1d_exact(
     vals = np.array([float(potential(t)) for t in ts])
     i_max = int(np.argmax(vals))
     shift = float(vals[i_max])
-    integral, err = quad(
+    integral = _checked_quad(
         lambda t: math.exp((float(potential(t)) - shift) / eps),
         a,
         b,
+        "the 1-d capacity",
         points=[float(ts[i_max])] if 0 < i_max < len(ts) - 1 else None,
-        **_QUAD_OPTS,
     )
-    tol = max(1e-12, 1e-8 * abs(integral))
-    if err > tol:
-        raise RuntimeError(
-            f"quadrature for the 1-d capacity did not converge: achieved "
-            f"absolute error {err:.3e} against tolerance {tol:.3e}"
-        )
     return CapacityEstimate(
         value=eps * math.exp(-shift / eps) / integral,
         method="exact_1d",

@@ -592,12 +592,10 @@ def _classify_higher(model, point) -> SaddleClass:
     # heuristic sign report of the lowest nonvanishing restricted form
     zeros = point.zero_indices
     B = point.eigenvectors[:, list(zeros)]
-    z = point.location
     rng = np.random.default_rng(0)
     dirs = rng.standard_normal((64, len(zeros)))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    T3 = model.third_tensor(z)
-    T4 = model.fourth_tensor(z)
+    T3, T4 = _raw_tensors(model, point)
     report = {"order": None, "sign_pattern": "zero"}
     for order, T in ((3, T3), (4, T4)):
         vals = []

@@ -128,11 +128,15 @@ class PotentialModel:
             return self.hessian(x)[dirs[0], dirs[1]]
         return self._fd_nested(x, tuple(dirs), _fd_step(k, x))
 
+    def _partials(self, x, multisets) -> np.ndarray:
+        """``partial(x, m)`` for each multiset ``m`` of axes."""
+        return np.array([self.partial(x, m) for m in multisets])
+
     def _symmetric_tensor(self, x, order: int) -> np.ndarray:
         # one partial per multiset of axes, copied to all its permutations
+        multisets = tuple(itertools.combinations_with_replacement(range(self.dim), order))
         T = np.zeros((self.dim,) * order)
-        for idx in itertools.combinations_with_replacement(range(self.dim), order):
-            v = self.partial(x, idx)
+        for idx, v in zip(multisets, self._partials(x, multisets)):
             for perm in set(itertools.permutations(idx)):
                 T[perm] = v
         return T
@@ -159,6 +163,11 @@ class FunctionPotential(PotentialModel):
 
 class PolynomialPotential(PotentialModel):
     """Polynomial potential with exact derivatives of every order.
+
+    One kernel, :meth:`_evaluate`, gathers the derivative polynomials (memoised
+    on the model by the axes in the order differentiated) from one power table
+    and weighs each with one gemv; a Hessian or a higher tensor is one call.
+    Pointwise methods evaluate a batch of one and never call the batch methods.
 
     Parameters
     ----------
@@ -190,85 +199,76 @@ class PolynomialPotential(PotentialModel):
         self.exponents = np.array(sorted(merged), dtype=int).reshape(len(merged), dim)
         self.coefficients = np.array([merged[tuple(e)] for e in self.exponents])
         # x_i**e sits in row e*d + i of the flattened power table
-        self._terms = (self.exponents * dim + np.arange(dim), self.coefficients)
-        self._top = int(self.exponents.max(initial=0))
-        self._grad_polys = [self._differentiated(*self._terms, i) for i in range(dim)]
-        self._grad_top = max(int(idx.max(initial=0)) // dim for idx, _ in self._grad_polys)
-        # the terms of all d gradient polynomials are gathered at once (in 1-D a
-        # term is a table row); axis i weighs its own block of rows
-        grad_idx = np.concatenate([idx for idx, _ in self._grad_polys])
-        self._grad_gather = grad_idx[:, 0] if dim == 1 else grad_idx
-        bounds = [0, *itertools.accumulate(len(c) for _, c in self._grad_polys)]
-        self._grad_blocks = [
-            (c, slice(lo, hi)) for (_, c), lo, hi in zip(self._grad_polys, bounds, bounds[1:])
-        ]
+        self._polys = {(): (self.exponents * dim + np.arange(dim), self.coefficients)}
+        self._stacks: dict = {}
+        self._axes = tuple((i,) for i in range(dim))
+        self._value_stack, self._gradient_stack = self._stack(((),)), self._stack(self._axes)
 
-    def _differentiated(self, idx, coeffs, axis: int) -> tuple[np.ndarray, np.ndarray]:
-        """Table rows and coefficients of the derivative along ``axis`` of the given terms."""
-        keep = idx[:, axis] >= self.dim
-        idx = idx[keep]
-        coeffs = coeffs[keep] * (idx[:, axis] // self.dim)
-        idx[:, axis] -= self.dim
-        return idx, coeffs
+    def _poly(self, dirs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """Table rows and coefficients of ``∂_dirs V``, differentiated along ``dirs`` in order."""
+        poly = self._polys.get(dirs)
+        if poly is None:
+            idx, coeffs = self._poly(dirs[:-1])
+            keep = idx[:, dirs[-1]] >= self.dim
+            idx, coeffs = idx[keep], coeffs[keep] * (idx[keep, dirs[-1]] // self.dim)
+            idx[:, dirs[-1]] -= self.dim
+            poly = self._polys[dirs] = (idx, coeffs)
+        return poly
 
-    @staticmethod
-    def _power_table(pts: np.ndarray, top: int) -> np.ndarray:
-        """Powers ``x_i**e`` for e = 0..top as a ((top+1)*d, n) table, by repeated products."""
+    def _stack(self, multisets: tuple[tuple[int, ...], ...]):
+        """Gather rows (in 1-D a term is a table row), top power and one
+        ``(coefficients, row block)`` per derivative in ``multisets``."""
+        stack = self._stacks.get(multisets)
+        if stack is None:
+            polys = [self._poly(m) for m in multisets]
+            idx = np.concatenate([i for i, _ in polys])
+            bounds = [0, *itertools.accumulate(len(c) for _, c in polys)]
+            blocks = [(c, slice(lo, hi)) for (_, c), lo, hi in zip(polys, bounds, bounds[1:])]
+            top = int(idx.max(initial=0)) // self.dim
+            stack = self._stacks[multisets] = (idx[:, 0] if self.dim == 1 else idx, top, blocks)
+        return stack
+
+    def _evaluate(self, pts: np.ndarray, stack) -> np.ndarray:
+        """The stack's derivatives at an (n, d) batch, as an (n, blocks) array."""
+        rows, top, blocks = stack
+        # powers x_i**e, e <= top, one product per power: np.multiply.accumulate
+        # runs an inner loop per (axis, point) pair and is ~10x slower at n=4000
         n, d = pts.shape
         table = np.empty((top + 1, d, n))
         table[0] = 1.0
         table[1:2] = pts.T
-        # one product per power: np.multiply.accumulate along the power axis
-        # runs an inner loop per (axis, point) pair and is ~10x slower at n=4000
         x = power = table[1:2]
         for e in range(2, top + 1):
             power = np.multiply(power, x, out=table[e : e + 1])
-        return table.reshape((top + 1) * d, n)
-
-    @staticmethod
-    def _eval_terms(idx: np.ndarray, coeffs: np.ndarray, table: np.ndarray, out=None) -> np.ndarray:
-        return np.matmul(coeffs, np.multiply.reduce(table[idx], axis=1), out=out)
-
-    # Pointwise methods run the same kernel on a (1, d) batch without going
-    # through value_many/gradient_many, which thus see only batch evaluations.
-    def value(self, x) -> float:
-        x = np.asarray(x, dtype=float).reshape(1, self.dim)
-        return float(self._eval_terms(*self._terms, self._power_table(x, self._top))[0])
-
-    def value_many(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return self._eval_terms(*self._terms, self._power_table(pts, self._top))
-
-    def _gradients(self, pts: np.ndarray) -> np.ndarray:
-        terms = self._power_table(pts, self._grad_top)[self._grad_gather]
+        terms = table.reshape((top + 1) * d, n)[rows]
         if terms.ndim == 3:
             terms = np.multiply.reduce(terms, axis=1)
-        grad = np.empty(pts.shape)
-        for axis, (c, rows) in enumerate(self._grad_blocks):
-            np.matmul(c, terms[rows], out=grad[:, axis])
-        return grad
+        out = np.empty((n, len(blocks)))
+        for k, (c, block) in enumerate(blocks):
+            np.matmul(c, terms[block], out=out[:, k])
+        return out
+
+    def _partials(self, x, multisets) -> np.ndarray:
+        x = np.asarray(x, dtype=float).reshape(1, self.dim)
+        return self._evaluate(x, self._stack(multisets))[0]
+
+    def value(self, x) -> float:
+        return float(self._partials(x, ((),))[0])
+
+    def value_many(self, pts: np.ndarray) -> np.ndarray:
+        return self._evaluate(np.atleast_2d(np.asarray(pts, dtype=float)), self._value_stack)[:, 0]
 
     def gradient(self, x) -> np.ndarray:
-        return self._gradients(np.asarray(x, dtype=float).reshape(1, self.dim))[0]
+        return self._partials(x, self._axes)
 
     def gradient_many(self, pts: np.ndarray) -> np.ndarray:
-        return self._gradients(np.atleast_2d(np.asarray(pts, dtype=float)))
+        return self._evaluate(np.atleast_2d(np.asarray(pts, dtype=float)), self._gradient_stack)
 
     def partial(self, x, dirs: tuple[int, ...]) -> float:
-        x = np.asarray(x, dtype=float).reshape(1, self.dim)
-        idx, coeffs = self._grad_polys[dirs[0]] if dirs else self._terms
-        for axis in dirs[1:]:
-            idx, coeffs = self._differentiated(idx, coeffs, axis)
-        top = int(idx.max(initial=0)) // self.dim
-        return float(self._eval_terms(idx, coeffs, self._power_table(x, top))[0])
+        return float(self._partials(x, (tuple(dirs),))[0])
 
     def hessian(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        H = np.empty((self.dim, self.dim))
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                H[i, j] = H[j, i] = self.partial(x, (i, j))
-        return H
+        return self._symmetric_tensor(x, 2)
 
     # -- serialization -----------------------------------------------------
 

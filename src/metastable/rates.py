@@ -292,7 +292,7 @@ class MinimumSpec:
         return float(self.hessian_det)
 
 
-# placeholder minimum (value 0, unit Hessian determinant): the sweeps' default,
+# placeholder minimum (value 0, unit Hessian determinant): the sweeps' minimum,
 # and the minimum paired with a gate when only its capacity matters
 UNIT_MINIMUM = MinimumSpec(value=0.0, hessian_det=1.0)
 
@@ -957,23 +957,17 @@ SWEEP_FIELDS = (
 
 
 def _sweep(
-    eps: float,
-    values: Sequence[float],
-    minimum: MinimumSpec | None,
-    barrier: float,
-    saddle_at: Callable[[float, float], SaddleSpec],
+    eps: float, values: Sequence[float], saddle_at: Callable[[float], SaddleSpec]
 ) -> list[dict]:
     """Rows of :data:`SWEEP_FIELDS`, one per control value in input order.
 
-    ``saddle_at(control, altitude)`` builds the gate for one control value,
-    where ``altitude = minimum.value + barrier`` is the unshifted gate altitude.
+    ``saddle_at(control)`` builds the gate for one control value at altitude 0
+    above :data:`UNIT_MINIMUM`, shifted where a split saddle moves it.
     """
-    minimum = UNIT_MINIMUM if minimum is None else minimum
-    altitude = minimum.value + barrier
     rows = []
     for control in values:
         control = float(control)
-        result = closed_rate(minimum, saddle_at(control, altitude), eps)
+        result = closed_rate(UNIT_MINIMUM, saddle_at(control), eps)
         rows.append({
             "control_parameter": control,
             "eps": result.eps,
@@ -987,108 +981,79 @@ def _sweep(
 
 
 def sweep_transverse(
-    eps: float,
-    lambda2_values: Sequence[float],
-    *,
-    quartic: float = 0.5,
-    barrier: float = 0.0,
-    unstable: float = 1.0,
-    stable: Sequence[float] = (),
-    minimum: MinimumSpec | None = None,
+    eps: float, lambda2_values: Sequence[float], *, quartic: float = 0.5
 ) -> list[dict]:
     """Transverse-pitchfork prefactor sweep over ``lambda2``.
 
-    Defaults put the saddle in normal-form units (``|lambda_1| = 1``, unit
-    minimum determinant, ``C4 = 1/2`` so the crossover scale is exactly
-    ``sqrt(eps)``).  For ``lambda2 < 0`` the split-saddle data from
-    :func:`pitchfork_saddles` is used, including the lowered altitude.  Rows
-    follow the input order and carry the fields in :data:`SWEEP_FIELDS`.
+    The saddle is in normal-form units (``|lambda_1| = 1``, unit minimum
+    determinant, no other stable direction; the default ``C4 = 1/2`` makes
+    the crossover scale exactly ``sqrt(eps)``).  For ``lambda2 < 0`` the
+    split-saddle data from :func:`pitchfork_saddles` is used, including the
+    lowered altitude.  Rows follow the input order and carry the fields in
+    :data:`SWEEP_FIELDS`.
     """
 
-    def saddle_at(lam2: float, altitude: float) -> SaddleSpec:
+    def saddle_at(lam2: float) -> SaddleSpec:
         if lam2 >= 0.0:
-            return SaddleSpec(altitude, PitchforkTransverse(lam2, quartic), stable, unstable)
+            return SaddleSpec(0.0, PitchforkTransverse(lam2, quartic), (), 1.0)
         split = pitchfork_saddles(lam2, quartic)
         regime = PitchforkTransverse(lam2, quartic, mu2=split.soft_eigenvalue)
-        return SaddleSpec(altitude + split.value_shift, regime, stable, unstable)
+        return SaddleSpec(split.value_shift, regime, (), 1.0)
 
-    return _sweep(eps, lambda2_values, minimum, barrier, saddle_at)
+    return _sweep(eps, lambda2_values, saddle_at)
 
 
 def sweep_longitudinal(
-    eps: float,
-    lambda1_values: Sequence[float],
-    *,
-    quartic: float = 0.5,
-    barrier: float = 0.0,
-    stable: Sequence[float] = (1.0,),
-    minimum: MinimumSpec | None = None,
+    eps: float, lambda1_values: Sequence[float], *, quartic: float = 0.5
 ) -> list[dict]:
     """Longitudinal-pitchfork prefactor sweep over the soft eigenvalue ``lambda1``.
 
-    For ``lambda1 > 0`` the split saddles of :func:`longitudinal_saddles` are
-    used, including the raised altitude.
+    One stable direction with eigenvalue 1.  For ``lambda1 > 0`` the split
+    saddles of :func:`longitudinal_saddles` are used, including the raised
+    altitude.
     """
 
-    def saddle_at(lam1: float, altitude: float) -> SaddleSpec:
+    def saddle_at(lam1: float) -> SaddleSpec:
         if lam1 <= 0.0:
-            return SaddleSpec(altitude, PitchforkLongitudinal(lam1, quartic), stable)
+            return SaddleSpec(0.0, PitchforkLongitudinal(lam1, quartic), (1.0,))
         split = longitudinal_saddles(lam1, quartic)
         regime = PitchforkLongitudinal(lam1, quartic, mu1=split.soft_eigenvalue)
-        return SaddleSpec(altitude + split.value_shift, regime, stable)
+        return SaddleSpec(split.value_shift, regime, (1.0,))
 
-    return _sweep(eps, lambda1_values, minimum, barrier, saddle_at)
+    return _sweep(eps, lambda1_values, saddle_at)
 
 
 def sweep_doublezero(
-    eps: float,
-    lambda2_values: Sequence[float],
-    *,
-    angular: AngularProfile = 0.5,
-    barrier: float = 0.0,
-    unstable: float = 1.0,
-    stable: Sequence[float] = (),
-    minimum: MinimumSpec | None = None,
+    eps: float, lambda2_values: Sequence[float], *, angular: AngularProfile = 0.5
 ) -> list[dict]:
-    """Double-zero prefactor sweep over ``lambda2``.
+    """Double-zero prefactor sweep over ``lambda2``, with ``|lambda_1| = 1``.
 
     Values below ``-sqrt(eps |log eps|)`` raise (use :func:`sweep_sombrero`
     for the ring regime).
     """
 
-    def saddle_at(lam2: float, altitude: float) -> SaddleSpec:
-        return SaddleSpec(altitude, DoubleZero(lam2, angular), stable, unstable)
+    def saddle_at(lam2: float) -> SaddleSpec:
+        return SaddleSpec(0.0, DoubleZero(lam2, angular), (), 1.0)
 
-    return _sweep(eps, lambda2_values, minimum, barrier, saddle_at)
+    return _sweep(eps, lambda2_values, saddle_at)
 
 
 def sweep_sombrero(
-    eps: float,
-    mu3_values: Sequence[float],
-    *,
-    gate_pairs: int = 3,
-    quartic: float = 0.125,
-    barrier: float = 0.0,
-    unstable: float = 1.0,
-    stable: Sequence[float] = (),
-    minimum: MinimumSpec | None = None,
-    mu2_map: Callable[[float], float] | None = None,
+    eps: float, mu3_values: Sequence[float], *, gate_pairs: int = 3, quartic: float = 0.125
 ) -> list[dict]:
     """Sombrero prefactor sweep over the radial eigenvalue ``mu3``.
 
     Defaults model the three-particle ring: ``M = 3`` gates pairs, radial
-    quartic ``C4 = 1/8``, and the angular eigenvalue map
+    quartic ``C4 = 1/8``, ``|lambda_1| = 1``, and the angular eigenvalue
     ``mu2 = mu3**2 / 2`` implied by the sixth-order rim modulation of that
-    lattice.  The ring altitude ``V(z*) = barrier - mu3**2 / (64 * C4)`` drops
-    with ``mu3`` exactly as the split-saddle altitude of the radial pitchfork.
+    lattice.  The ring altitude ``V(z*) = -mu3**2 / (64 * C4)`` drops with
+    ``mu3`` exactly as the split-saddle altitude of the radial pitchfork.
     """
-    if mu2_map is None:
-        mu2_map = lambda m3: 0.5 * m3 * m3
 
-    def saddle_at(mu3: float, altitude: float) -> SaddleSpec:
+    def saddle_at(mu3: float) -> SaddleSpec:
         if not mu3 > 0.0:
             raise ValueError("mu3 values must be positive")
-        regime = Sombrero(gate_pairs, float(mu2_map(mu3)), mu3, quartic)
-        return SaddleSpec(altitude - mu3**2 / (64.0 * quartic), regime, stable, unstable)
+        regime = Sombrero(gate_pairs, 0.5 * mu3 * mu3, mu3, quartic)
+        return SaddleSpec(-(mu3**2) / (64.0 * quartic), regime, (), 1.0)
 
-    return _sweep(eps, mu3_values, minimum, barrier, saddle_at)
+    return _sweep(eps, mu3_values, saddle_at)

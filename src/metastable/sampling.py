@@ -119,6 +119,7 @@ class SimulationConfig:
     confinement_radius : float
         Blow-up guard: a replica whose position leaves this ball is aborted
         with a diagnostic (signals ``dt`` too large or a non-confining model).
+        Positive, with a finite square.
     keep_times : bool
         Retain per-replica times and statuses on the estimate.
     """
@@ -147,6 +148,10 @@ class SimulationConfig:
             raise ValueError("replicas must be at least 1")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 bits")
+        # the blow-up test compares |x|^2 with the radius squared
+        radius = float(self.confinement_radius)
+        if not (radius > 0.0 and math.isfinite(radius * radius)):
+            raise ValueError("confinement_radius must be positive with a finite square")
         if not self.target:
             raise ValueError("at least one target ball is required")
         for ball in self.target:

@@ -526,6 +526,25 @@ def test_codim1_classification_computes_each_derivative_tensor_once(monkeypatch)
     )
 
 
+def test_classify_and_newton_make_no_partial_call(monkeypatch):
+    calls = []
+    partial = PolynomialPotential.partial
+
+    def counted(self, x, dirs):
+        calls.append(dirs)
+        return partial(self, x, dirs)
+
+    monkeypatch.setattr(PolynomialPotential, "partial", counted)
+    model = rotated_two_particle(0.5)
+    sc = classify(model, StationaryPoint.at(model, np.zeros(2)))
+    assert sc.tag is SaddleTag.CODIM1 and sc.verdict is Verdict.SADDLE
+    model = poly(3, ((4, 0, 0), 0.25), ((2, 0, 0), -0.5), ((0, 2, 0), 0.5),
+                 ((0, 0, 2), 0.5), ((1, 1, 1), 0.2))
+    found = find_stationary_points(model, [[-1.1, 0.1, 0.0], [0.1, -0.1, 0.1], [0.9, 0.0, 0.1]])
+    assert len(found) == 3
+    assert calls == []
+
+
 def test_saddle_spec_rejects_gates_without_a_closed_form(dw, chain3_critical):
     minimum = StationaryPoint.at(dw, np.array([1.0]))
     with pytest.raises(ValueError, match="closed-form rates need a saddle"):

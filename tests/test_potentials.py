@@ -1,5 +1,6 @@
 """Potential families: values, gradients, spectra, loading."""
 
+import itertools
 import json
 import math
 
@@ -160,13 +161,53 @@ def test_power_table_kernel_agrees_with_float_powers(name):
         assert close(grads[:, axis], float_powers(d_exps, coeffs[keep] * exps[keep, axis]))
 
 
+def _power_table(pts, top):
+    # reference: x_i**e for e = 0..top by repeated products, x_i**e in row e*d + i
+    n, d = pts.shape
+    table = np.empty((top + 1, d, n))
+    table[0] = 1.0
+    table[1:2] = pts.T
+    for e in range(2, top + 1):
+        np.multiply(table[e - 1], pts.T, out=table[e])
+    return table.reshape((top + 1) * d, n)
+
+
+def _derivative(model, dirs):
+    # reference: table rows and coefficients of the derivative along dirs, in order
+    d = model.dim
+    idx, coeffs = model.exponents * d + np.arange(d), model.coefficients
+    for axis in dirs:
+        keep = idx[:, axis] >= d
+        idx = idx[keep]
+        coeffs = coeffs[keep] * (idx[:, axis] // d)
+        idx[:, axis] -= d
+    return idx, coeffs
+
+
 def _per_axis_gradients(model, pts):
     # reference: one gather, product and gemv per gradient polynomial
-    table = model._power_table(pts, model._grad_top)
+    polys = [_derivative(model, (axis,)) for axis in range(model.dim)]
+    table = _power_table(pts, max(int(idx.max(initial=0)) // model.dim for idx, _ in polys))
     grad = np.empty(pts.shape)
-    for axis, (idx, c) in enumerate(model._grad_polys):
+    for axis, (idx, c) in enumerate(polys):
         np.matmul(c, np.multiply.reduce(table[idx], axis=1), out=grad[:, axis])
     return grad
+
+
+def _per_multiset_partial(model, x, dirs):
+    # reference: each partial derives its own polynomial and power table
+    idx, coeffs = _derivative(model, dirs)
+    table = _power_table(x.reshape(1, -1), int(idx.max(initial=0)) // model.dim)
+    return float(np.matmul(coeffs, np.multiply.reduce(table[idx], axis=1))[0])
+
+
+def _per_multiset_tensor(model, x, order):
+    T = np.zeros((model.dim,) * order)
+    for idx in itertools.combinations_with_replacement(range(model.dim), order):
+        v = _per_multiset_partial(model, x, idx)
+        for perm in set(itertools.permutations(idx)):
+            T[perm] = v
+    return T
 
 
 GATHER_MODELS = {
@@ -187,6 +228,29 @@ def test_gradient_many_equals_the_per_axis_kernel_bit_for_bit(name, n):
     pts = np.random.default_rng(n).uniform(-2.0, 2.0, size=(n, model.dim))
     assert np.array_equal(model.gradient_many(pts), _per_axis_gradients(model, pts))
     assert np.array_equal(model.gradient(pts[-1]), _per_axis_gradients(model, pts[-1:])[0])
+
+
+TENSOR_MODELS = dict(GATHER_MODELS, poly4=lambda: PolynomialPotential([
+    ((2, 0, 0, 0), -0.5), ((1, 1, 0, 0), 0.3), ((0, 0, 2, 1), 0.7), ((0, 1, 1, 1), -0.2),
+    ((0, 0, 0, 2), 0.6), ((4, 0, 0, 0), 0.25), ((2, 2, 0, 0), 0.5), ((0, 1, 3, 0), 0.1),
+    ((1, 1, 1, 1), -0.35), ((0, 0, 0, 5), 0.05), ((3, 5, 0, 0), 0.1),
+]))
+
+
+@pytest.mark.parametrize("name", sorted(TENSOR_MODELS))
+def test_hessian_tensors_and_partials_equal_the_per_multiset_formula_bit_for_bit(name):
+    model = TENSOR_MODELS[name]()
+    rng = np.random.default_rng(11)
+    for x in rng.uniform(-1.7, 1.7, size=(3, model.dim)):
+        assert np.array_equal(model.hessian(x), _per_multiset_tensor(model, x, 2))
+        assert np.array_equal(model.third_tensor(x), _per_multiset_tensor(model, x, 3))
+        assert np.array_equal(model.fourth_tensor(x), _per_multiset_tensor(model, x, 4))
+        # unsorted and repeated axes keep the order they are differentiated in
+        for order in range(6):
+            dirs = tuple(int(a) for a in rng.integers(0, model.dim, size=order))
+            for d in (dirs, dirs[::-1], dirs + dirs[:1]):
+                assert model.partial(x, d) == _per_multiset_partial(model, x, d)
+        assert model.partial(x, list(dirs)) == _per_multiset_partial(model, x, dirs)
 
 
 @pytest.mark.parametrize(

@@ -587,6 +587,10 @@ def test_write_times_csv_requires_kept_times(dw, tmp_path):
         ({"seed": 2**64}, "seed"),
         ({"target": ()}, "target"),
         ({"target": Ball(center=(1.0, 0.0), radius=0.2)}, "dimension"),
+        ({"confinement_radius": math.nan}, "confinement_radius"),
+        ({"confinement_radius": 0.0}, "confinement_radius"),
+        ({"confinement_radius": -1.0}, "confinement_radius"),
+        ({"confinement_radius": 1e200}, "confinement_radius"),
     ],
 )
 def test_config_validation(overrides, message):
