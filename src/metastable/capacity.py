@@ -26,9 +26,9 @@ from the dict and adds the ones it is first to reach, so a ``verify`` row
 evaluates every level once.  A dict belongs to one (model, saddle, box); the
 caller drops it with the row.  The grid that checks the box conditions is
 evaluated inside each call.  A grid is evaluated in slabs of at most
-``_SLAB_ROWS`` points, so evaluating it takes the memory of the grid plus one
-slab; with one BLAS thread its values are bit for bit those of one call over
-the whole grid.
+``potentials._SLAB_ROWS`` points, so evaluating it takes the memory of the grid
+plus one slab; with one BLAS thread its values are bit for bit those of one
+call over the whole grid.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .landscape import StationaryPoint, codim1_coefficients, codim2_form
-from .potentials import PotentialModel
+from .potentials import PotentialModel, _grid_values
 
 __all__ = [
     "BoxSpec",
@@ -59,10 +59,6 @@ _QUAD_OPTS = dict(epsabs=0.0, epsrel=1e-10, limit=200)
 _MAX_NODES = {1: 8193, 2: 1025, 3: 257}
 # the ladder stops once a level changes the value by less than this, relative
 _REL_TOL = 1e-6
-# most points per value_many call when a tensor grid is evaluated slab by slab;
-# on chain 129^3 and 257^3 and rotated2 1025^2 grids 2**15 was within 3% of the
-# fastest size, 2**17 was 16-50% slower and one call per grid 3-6 times slower
-_SLAB_ROWS = 2**15
 # order r + 1 of the normal-form remainder in the advisory box-width check
 # (delta1 + delta2)**(r+1) = o(eps |log eps|)
 _REMAINDER_ORDER = 5
@@ -322,33 +318,13 @@ def _tensor_w(
     """``V - V(point)`` on the tensor grid ``shape`` over ``[-widths, widths]``
     in the eigenbasis of ``point``, and the grid's axes.
 
-    The grid is evaluated in slabs of at most ``_SLAB_ROWS`` points, so memory
-    is the grid plus one slab.  A slab is a run of whole lines along the last
-    axis, in C order, and holds a multiple of 16 lines, hence of 16 points: a
-    BLAS kernel that treats the last ``rows mod block`` rows of a call apart
-    (the polynomial kernel's ``coeffs @ terms``) then meets the same blocks as
-    in one ``value_many`` call on ``location + y @ Q.T`` over the whole grid,
-    and with one BLAS thread the values are bit for bit those of that call.
+    The grid is evaluated in slabs (``potentials._grid_values``), so memory is
+    the grid plus one slab, and with one BLAS thread the values are bit for bit
+    those of one ``value_many`` call on ``location + y @ Q.T`` over the whole
+    grid.
     """
-    shape = tuple(shape)
-    d, n_last = len(shape), shape[-1]
     axes = [np.linspace(-w, w, n) for w, n in zip(widths, shape)]
-    # leading coordinates of every line, one line per column; one line when d = 1
-    lines = np.empty((d - 1, math.prod(shape[:-1])))
-    for k, m in enumerate(np.meshgrid(*axes[:-1], indexing="ij")):
-        lines[k] = m.ravel()
-    w = np.empty(shape)
-    rows = w.reshape(-1, n_last)
-    step = 16 * max(1, _SLAB_ROWS // (16 * n_last))
-    for start in range(0, len(rows), step):
-        count = min(step, len(rows) - start)
-        # points as columns, so each coordinate is one contiguous row
-        y = np.empty((d, count * n_last))
-        y[:-1] = np.repeat(lines[:, start : start + count], n_last, axis=1)
-        y[-1] = np.tile(axes[-1], count)
-        x = point.eigenvectors @ y
-        x += point.location[:, None]
-        rows[start : start + count] = model.value_many(x.T).reshape(count, n_last)
+    w = _grid_values(model, axes, (point.location, point.eigenvectors))
     w -= point.value
     return w, axes
 

@@ -20,7 +20,8 @@ split and make no zero test of their own.
 
 For d = 2 an independent grid oracle computes communication heights and gate
 cells (exact min-max on the 8-connected grid graph) by bisection over sorted
-levels with connected-component labelling.
+levels with connected-component labelling, narrowed after each connecting
+probe to the endpoints' component.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from enum import Enum
 import numpy as np
 from scipy import ndimage, optimize
 
-from .potentials import PotentialModel
+from .potentials import PotentialModel, _grid_values
 from .rates import Codim2, PitchforkLongitudinal, PitchforkTransverse, Quadratic, SaddleSpec
 
 __all__ = [
@@ -760,25 +761,39 @@ def communication_height_2d(model: PotentialModel, a, b, grid) -> GateResult:
 
     The height is the lowest grid value ``h`` at which a and b share an
     8-connected component of ``{V <= h}``; it is found by bisection over the
-    sorted values, labelling the sublevel set at each probe.  Read as a sweep
-    that activates cells in stable ascending order of V (ties in row-major
-    order), the triggering cell is the first activation after which a and b
-    are connected: the strict sublevel set ``{V < h}`` is labelled once and
-    the cells tied at ``h`` are joined to it one by one in row-major order.
-    The grid tolerance is the largest one-cell variation of V around that
-    cell.  Gate cells are the cells within the tolerance of ``h`` with a
-    neighbour in each endpoint's strict-sublevel component, in row-major
-    order.  The witness path is a breadth-first path from a to b inside
-    ``{V <= h}`` that scans neighbours in ascending flat-index order.
+    sorted values, labelling the sublevel set at each probe.  After a probe at
+    ``t`` connects a and b, only their component of ``{V <= t}`` and its
+    bounding box are kept, and later probes label the part of that component
+    below their level.  This is exact: a path from a to b in ``{V <= t'}``
+    with ``t' < t`` lies in ``{V <= t}`` and starts at a, so it never leaves
+    the component.  At the end the component is that of ``{V <= h}``, and the
+    steps below run inside it (or, for the gate cells, inside its box grown
+    by one cell), since every cell they look at is connected to a through
+    cells at most ``h`` or is adjacent to such a cell.  Row-major order inside
+    a box is the grid's flat order, so the results are those of the same
+    steps on the whole grid.
+
+    Read as a sweep that activates cells in stable ascending order of V (ties
+    in row-major order), the triggering cell is the first activation after
+    which a and b are connected: the strict sublevel set ``{V < h}`` is
+    labelled once and the cells tied at ``h`` are joined to it one by one in
+    row-major order.  The grid tolerance is the largest one-cell variation of
+    V around that cell.  Gate cells are the cells within the tolerance of
+    ``h`` with a neighbour in each endpoint's strict-sublevel component, in
+    row-major order.  The witness path is a breadth-first path from a to b
+    inside ``{V <= h}`` that scans neighbours in ascending flat-index order.
+
+    V may be infinite but not NaN: a NaN cell raises ``ValueError``.
     """
     if model.dim != 2:
         raise ValueError(f"communication_height_2d requires d = 2, got d = {model.dim}")
     g = GridSpec2D.coerce(grid)
     xs = np.linspace(g.xmin, g.xmax, g.nx)
     ys = np.linspace(g.ymin, g.ymax, g.ny)
-    XX, YY = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.column_stack([XX.ravel(), YY.ravel()])
-    V = model.value_many(pts).reshape(g.nx, g.ny)
+    V = _grid_values(model, (xs, ys))
+    nan = np.count_nonzero(np.isnan(V))
+    if nan:
+        raise ValueError(f"the potential is NaN at {nan} of {V.size} grid cells")
 
     def snap(p):
         p = np.asarray(p, dtype=float)
@@ -797,7 +812,7 @@ def communication_height_2d(model: PotentialModel, a, b, grid) -> GateResult:
             grid_tolerance=0.0,
         )
 
-    height, trigger = _first_connecting_cell(V, ja, jb)
+    height, trigger, (corner, inside) = _first_connecting_cell(V, ja, jb)
 
     # grid tolerance: one-cell variation of V around the triggering cell
     ti, tj = trigger
@@ -808,20 +823,28 @@ def communication_height_2d(model: PotentialModel, a, b, grid) -> GateResult:
     ]
     tol = max(local) + 1e-12 * max(1.0, abs(height))
 
-    # witness path: BFS inside {V <= height}
-    ii, jj = _bfs_path(V <= height, ja, jb)
-    witness = np.column_stack([xs[ii], ys[jj]])
+    # witness path: BFS inside the endpoints' component of {V <= height}
+    la, lb = _shift(ja, corner, -1), _shift(jb, corner, -1)
+    ii, jj = _bfs_path(inside, la, lb)
+    witness = np.column_stack([xs[ii + corner[0]], ys[jj + corner[1]]])
 
-    # gate cells: near-height cells adjacent to both strict-sublevel components
-    strict = V < height - 1e-12 * max(1.0, abs(height))
-    comp = _label8(strict)
-    ca, cb = comp[ja], comp[jb]
+    # gate cells: near-height cells adjacent to both strict-sublevel components,
+    # which lie in the component, so the test runs on its box grown by one cell
+    box = _box(corner, inside.shape)
+    strict = V[box] < height - 1e-12 * max(1.0, abs(height))
+    comp = _label8(strict & inside)
+    ca, cb = comp[la], comp[lb]
     gate_cells = []
     if ca > 0 and cb > 0:
-        gate = np.abs(V - height) <= tol
-        gate &= ndimage.binary_dilation(comp == ca, structure=_RING_8)
-        gate &= ndimage.binary_dilation(comp == cb, structure=_RING_8)
-        gate_cells = [np.array([xs[i], ys[j]]) for i, j in zip(*np.nonzero(gate))]
+        lo = (max(corner[0] - 1, 0), max(corner[1] - 1, 0))
+        hi = (min(box[0].stop + 1, g.nx), min(box[1].stop + 1, g.ny))
+        grown = (slice(lo[0], hi[0]), slice(lo[1], hi[1]))
+        gate = np.abs(V[grown] - height) <= tol
+        padded = np.zeros(gate.shape, dtype=comp.dtype)
+        padded[_box((corner[0] - lo[0], corner[1] - lo[1]), comp.shape)] = comp
+        for c in (ca, cb):
+            gate &= ndimage.binary_dilation(padded == c, structure=_RING_8)
+        gate_cells = [np.array([xs[i + lo[0]], ys[j + lo[1]]]) for i, j in zip(*np.nonzero(gate))]
     if not gate_cells:
         # degenerate fallback (e.g. endpoint at the gate level): use the trigger cell
         gate_cells = [np.array([xs[ti], ys[tj]])]
@@ -846,32 +869,56 @@ def _label8(mask: np.ndarray) -> np.ndarray:
     return ndimage.label(mask, structure=_BLOCK_8)[0]
 
 
-def _first_connecting_cell(V: np.ndarray, ja, jb) -> tuple[float, tuple[int, int]]:
-    """Height and cell of the first activation, in stable ascending order of
-    V, after which ``ja`` and ``jb`` lie in one 8-connected component."""
-    values = np.sort(V, axis=None)
+def _box(corner, shape) -> tuple[slice, slice]:
+    return (slice(corner[0], corner[0] + shape[0]), slice(corner[1], corner[1] + shape[1]))
 
-    def joined(k: int) -> bool:
-        lab = _label8(V <= values[k])
-        return lab[ja] != 0 and lab[ja] == lab[jb]
+
+def _shift(cell, corner, sign: int) -> tuple[int, int]:
+    return (cell[0] + sign * corner[0], cell[1] + sign * corner[1])
+
+
+def _first_connecting_cell(V: np.ndarray, ja, jb):
+    """Height and cell of the first activation, in stable ascending order of
+    V, after which ``ja`` and ``jb`` lie in one 8-connected component, and
+    that component of ``{V <= height}`` as ``(corner, mask)``: the top-left
+    cell of its bounding box and its cells within the box."""
+    values = np.sort(V, axis=None)
+    # the a-b component of the lowest connecting probe so far; {V <= max V}
+    # is the whole grid
+    corner, inside = (0, 0), np.ones(V.shape, dtype=bool)
+
+    def component(t: float):
+        """The a-b component of {V <= t} as (corner, mask), or None."""
+        lab = _label8((V[_box(corner, inside.shape)] <= t) & inside)
+        ka, kb = lab[_shift(ja, corner, -1)], lab[_shift(jb, corner, -1)]
+        if ka == 0 or ka != kb:
+            return None
+        mask = lab == ka
+        rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
+        return (
+            _shift((int(rows[0]), int(cols[0])), corner, 1),
+            mask[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1],
+        )
 
     # the endpoints themselves are active only from max(V[ja], V[jb]) on
     lo = int(np.searchsorted(values, max(V[ja], V[jb]), side="left"))
     hi = values.size - 1
-    if not joined(hi):  # the full grid always connects; defensive only
-        raise RuntimeError("grid sweep failed to connect the endpoints")
     while lo < hi:
         mid = (lo + hi) // 2
-        if joined(mid):
-            hi = mid
-        else:
+        found = component(values[mid])
+        if found is None:
             lo = mid + 1
+        else:
+            hi = mid
+            corner, inside = found
     height = float(values[lo])
+    Vc = V[_box(corner, inside.shape)]
 
     # cells tied at the height activate in flat order, which is their stable
     # order; union them with the strict-sublevel components they touch until
-    # the endpoints' sets meet
-    comp = _label8(V < height)
+    # the endpoints' sets meet.  Both lie in the component, and row-major
+    # order in its box is flat order.
+    comp = _label8((Vc < height) & inside)
     parent = list(range(int(comp.max()) + 1))
     node = {}  # tied cell -> union-find node
 
@@ -884,8 +931,9 @@ def _first_connecting_cell(V: np.ndarray, ja, jb) -> tuple[float, tuple[int, int
     def label(cell):
         return node.get(cell) if comp[cell] == 0 else int(comp[cell])
 
-    nx, ny = V.shape
-    for i, j in zip(*np.nonzero(V == height)):
+    nx, ny = inside.shape
+    la, lb = _shift(ja, corner, -1), _shift(jb, corner, -1)
+    for i, j in zip(*np.nonzero((Vc == height) & inside)):
         cell = (int(i), int(j))
         node[cell] = len(parent)
         parent.append(node[cell])
@@ -895,9 +943,9 @@ def _first_connecting_cell(V: np.ndarray, ja, jb) -> tuple[float, tuple[int, int
                 other = label((ii, jj))
                 if other is not None:
                     parent[find(other)] = find(node[cell])
-        la, lb = label(ja), label(jb)
-        if la is not None and lb is not None and find(la) == find(lb):
-            return height, cell
+        ra, rb = label(la), label(lb)
+        if ra is not None and rb is not None and find(ra) == find(rb):
+            return height, _shift(cell, corner, 1), (corner, inside)
     raise RuntimeError("no tied cell connects the endpoints; inconsistent sweep state")
 
 
@@ -918,12 +966,13 @@ def _bfs_path(mask: np.ndarray, start, goal) -> tuple[np.ndarray, np.ndarray]:
         src = (slice(max(0, -di), nx - max(0, di)), slice(max(0, -dj), ny - max(0, dj)))
         dst = (slice(max(0, di), nx + min(0, di)), slice(max(0, dj), ny + min(0, dj)))
         edges[src + (k,)] = mask[src] & mask[dst]
-    rows, ks = np.nonzero(edges.reshape(nx * ny, -1))
-    offsets = np.array([di * ny + dj for di, dj in _NEIGHBORS_8])
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nx * ny))])
-    graph = csr_array(
-        (np.ones(rows.size), rows + offsets[ks], indptr), shape=(nx * ny, nx * ny)
-    )
+    edges = edges.reshape(nx * ny, -1)
+    # csgraph indexes in int32; row r's columns are r + offset, in offset order
+    offsets = np.array([di * ny + dj for di, dj in _NEIGHBORS_8], dtype=np.int32)
+    cols = (np.arange(nx * ny, dtype=np.int32)[:, None] + offsets)[edges]
+    indptr = np.zeros(nx * ny + 1, dtype=np.int32)
+    np.cumsum(edges.sum(axis=1), out=indptr[1:])
+    graph = csr_array((np.ones(cols.size), cols, indptr), shape=(nx * ny, nx * ny))
     a, b = start[0] * ny + start[1], goal[0] * ny + goal[1]
     _, pred = csgraph.breadth_first_order(
         graph, a, directed=True, return_predecessors=True

@@ -2,12 +2,8 @@
 
 import json
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +30,8 @@ from metastable import (
     reduced_capacity,
     rotated_two_particle,
 )
-from metastable.capacity import _SLAB_ROWS, _tensor_w
+from metastable.capacity import _tensor_w
+from metastable.potentials import _SLAB_ROWS
 from metastable.cli import main
 
 UNIT_MIN = MinimumSpec(value=0.0, hessian_det=1.0)
@@ -303,19 +300,14 @@ def _streamed_mismatches() -> dict[str, int]:
 
 
 @pytest.fixture(scope="module")
-def streamed_mismatches():
+def streamed_mismatches(fresh_interpreter):
     # A threaded BLAS splits one call's rows between its threads, and the last
     # rows of each share take the kernel's tail path, so the one-shot reference
     # itself moves in the last bit with the thread count.  The comparison runs
     # in a fresh interpreter with one BLAS thread, as the benchmark pins it.
-    here = Path(__file__).resolve().parent
-    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    env.update({var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
-    code = "import json, test_capacity; print(json.dumps(test_capacity._streamed_mismatches()))"
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    return json.loads(run.stdout)
+    return fresh_interpreter(
+        "import json, test_capacity; print(json.dumps(test_capacity._streamed_mismatches()))"
+    )
 
 
 @pytest.mark.parametrize("name", sorted(STREAMED_GRIDS))

@@ -752,3 +752,11 @@ def test_output_bytes_match_the_golden_file(tmp_path, golden):
     assert run(tmp_path, *argv) == 0
     produced = tmp_path / (argv[0] + Path(golden).suffix)
     assert produced.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_importing_the_cli_leaves_csgraph_unloaded(fresh_interpreter):
+    # every command pays the start-up; only the gate search needs csgraph,
+    # and it imports it inside the witness search
+    assert fresh_interpreter(
+        "import json, sys, metastable.cli; print(json.dumps('scipy.sparse.csgraph' in sys.modules))"
+    ) is False

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -36,6 +37,7 @@ from metastable import (
     rotated_two_particle,
     saddle_spec,
 )
+from metastable import landscape
 
 
 def poly(dim, *terms):
@@ -488,6 +490,171 @@ def test_communication_height_matches_a_union_find_sweep(table, ends):
     assert [tuple(c) for c in res.gate_cells] == gates
     assert [tuple(c) for c in res.path_witness] == path
     assert len(res.warnings) == warns
+
+
+def _table_result(V, ja, jb):
+    nx, ny = V.shape
+    res = communication_height_2d(
+        _Table(V), ja, jb, {"bounds": [(0, nx - 1), (0, ny - 1)], "shape": (nx, ny)}
+    )
+    cells = lambda arr: [tuple(int(v) for v in c) for c in arr]
+    gates, path = cells(res.gate_cells), cells(res.path_witness)
+    return res.communication_height, res.grid_tolerance, gates, path, len(res.warnings)
+
+
+def _basins(nx, ny, seed):
+    """Six Gaussian wells rounded to steps of 1/8: several basins, plateaus
+    and cells tied at every level."""
+    rng = np.random.default_rng(seed)
+    i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    V = np.zeros((nx, ny))
+    for _ in range(6):
+        ci, cj, w = rng.uniform(0, nx), rng.uniform(0, ny), rng.uniform(0.06, 0.15) * nx
+        V -= rng.uniform(1.0, 3.0) * np.exp(-((i - ci) ** 2 + (j - cj) ** 2) / (2 * w * w))
+    return np.round(8.0 * V) / 8.0
+
+
+def _deepest(V, rows):
+    k = np.argmin(V[rows])
+    return (rows.start + k // V.shape[1], k % V.shape[1])
+
+
+@pytest.mark.parametrize("n, seed", [(65, 1), (97, 2), (129, 3), (129, 4)])
+def test_narrowed_search_matches_the_sweep_on_basins_and_plateaus(monkeypatch, n, seed):
+    V = _basins(n, n, seed)
+    ja, jb = _deepest(V, slice(0, n // 2)), _deepest(V, slice(n // 2, n))
+    shapes = []
+    label8 = landscape._label8
+    monkeypatch.setattr(landscape, "_label8", lambda m: shapes.append(m.shape) or label8(m))
+    got = _table_result(V, ja, jb)
+    assert got == _sweep_oracle(V, ja, jb)
+    # the probes after the first connecting one label less than the grid
+    assert min(a * b for a, b in shapes) < n * n
+
+    # an endpoint at the gate level touches no strict component: the
+    # trigger cell is the only gate cell
+    gate = got[2][0]
+    fallback = _table_result(V, ja, gate)
+    assert fallback == _sweep_oracle(V, ja, gate)
+    assert fallback[0] == V[gate] and len(fallback[2]) == 1
+
+
+@pytest.mark.parametrize("n, edge", [(65, "top"), (97, "bottom"), (129, "left"), (80, "right")])
+def test_narrowed_search_matches_the_sweep_through_a_pass_on_the_box_edge(n, edge):
+    # two bumpy basins under a high plateau, joined only by a pass on the
+    # grid's top edge: the endpoints' component meets that edge, and the cells
+    # one row below its box are gate cells too.  The other edges are the same
+    # landscape turned.
+    top = np.full((n, n), 3.0)
+    c = n // 2
+    top[:10, c - 8 : c + 9] = _basins(10, 17, n)
+    top[:, c] = 3.0
+    top[0, c] = 0.5
+    turn = {
+        "top": lambda i, j: (i, j),
+        "bottom": lambda i, j: (n - 1 - i, j),
+        "left": lambda i, j: (j, i),
+        "right": lambda i, j: (j, n - 1 - i),
+    }[edge]
+    V = np.empty_like(top)
+    V[turn(*np.indices(top.shape))] = top
+    ja, jb = turn(5, c - 4), turn(5, c + 4)
+    got = _table_result(V, ja, jb)
+    assert got == _sweep_oracle(V, ja, jb)
+    assert got[0] == 0.5
+    assert turn(0, c) in got[2] and turn(10, c) in got[2]
+
+
+@pytest.mark.parametrize("bad, count", [(np.nan, 1), (np.inf, 0), (-np.inf, 0)])
+def test_communication_height_rejects_nan_cells_only(bad, count):
+    # a wall at row 4 with a gap at column 2; the odd cell sits far from it
+    V = np.zeros((9, 9))
+    V[4, :] = 1.0
+    V[4, 2] = 0.5
+    V[8, 8] = bad
+    ja, jb = (1, 1), (7, 1)
+    if count:
+        with pytest.raises(ValueError, match="NaN at 1 of 81 grid cells"):
+            _table_result(V, ja, jb)
+    else:
+        got = _table_result(V, ja, jb)
+        assert got == _sweep_oracle(V, ja, jb)
+        assert got[0] == 0.5
+
+
+def test_communication_height_rejects_a_polynomial_that_overflows_to_nan():
+    # x^4 and y^4 overflow to inf beyond about 1e77, and inf - inf is NaN
+    model = poly(2, ((4, 0), 1.0), ((0, 4), -1.0))
+    grid = {"bounds": [(-1e80, 1e80), (-1e80, 1e80)], "shape": (5, 5)}
+    with pytest.raises(ValueError, match="NaN at 16 of 25 grid cells"):
+        communication_height_2d(model, [-1e80, 0.0], [1e80, 0.0], grid)
+
+
+# 1025^2 rotated2 at gamma = 0.45, where the two saddles tie, recorded with one
+# BLAS thread on the whole-grid search the narrowed one replaced.  Cells are
+# pinned by index (x = -2.5 + k * 5/1024, exact in binary): the gates lie at
+# x index 512 with the y indices listed, and the witness runs over x indices
+# 222..802 with y starting at 512 and moving by the steps (dy, repeats).
+PINNED_1025 = (
+    -0.004999596130801362,
+    8.312438671520456e-06,
+    [419, 420, 421, 422, 602, 603, 604, 605],
+    [(-1, 151), (0, 39), (1, 1), (0, 9), (1, 1), (0, 5), (1, 1), (0, 5), (1, 1), (0, 3),
+     (1, 1), (0, 4), (1, 1), (0, 2), (1, 1), (0, 2), (1, 1), (0, 2), (1, 1), (0, 2), (1, 1),
+     (0, 2), (1, 1), (0, 1), (1, 1), (0, 1), (1, 1), (0, 1), (1, 1), (0, 1), (1, 1), (0, 1),
+     (1, 44), (-1, 44), (0, 1), (-1, 1), (0, 1), (-1, 1), (0, 1), (-1, 1), (0, 1), (-1, 1),
+     (0, 1), (-1, 1), (0, 2), (-1, 1), (0, 2), (-1, 1), (0, 2), (-1, 1), (0, 2), (-1, 1),
+     (0, 2), (-1, 1), (0, 4), (-1, 1), (0, 3), (-1, 1), (0, 5), (-1, 1), (0, 5), (-1, 1),
+     (0, 9), (-1, 1), (0, 39), (1, 151)],
+)
+GRID_1025 = {"bounds": [(-2.5, 2.5), (-2.5, 2.5)], "shape": (1025, 1025)}
+
+
+def _search_1025(gamma):
+    return communication_height_2d(
+        rotated_two_particle(gamma), [-math.sqrt(2.0), 0.0], [math.sqrt(2.0), 0.0], GRID_1025
+    )
+
+
+def _pinned_1025_indices():
+    res = _search_1025(0.45)
+    xs = np.linspace(-2.5, 2.5, 1025)
+    index = lambda v: np.searchsorted(xs, v).tolist()
+    return {
+        "height": res.communication_height,
+        "tolerance": res.grid_tolerance,
+        "warnings": res.warnings,
+        "gates": [index(c) for c in res.gate_cells],
+        "path": index(res.path_witness),
+        "exact": bool(np.array_equal(xs[index(res.path_witness)], res.path_witness)),
+    }
+
+
+def test_communication_height_pinned_1025_result_with_tied_saddles(fresh_interpreter):
+    # the grid's values move in the last bit with the BLAS thread count
+    got = fresh_interpreter(
+        "import json, test_landscape; print(json.dumps(test_landscape._pinned_1025_indices()))"
+    )
+    height, tol, gate_j, steps = PINNED_1025
+    assert got["height"] == height
+    assert got["tolerance"] == tol
+    assert got["warnings"] == []
+    assert got["gates"] == [[512, j] for j in gate_j]
+    assert got["exact"]
+    dy = [s for s, repeats in steps for _ in range(repeats)]
+    y = np.concatenate([[512], 512 + np.cumsum(dy)]).tolist()
+    assert got["path"] == [[i, j] for i, j in zip(range(222, 803), y)]
+
+
+def test_communication_height_peak_memory_is_a_few_grids():
+    # V, its sorted copy, one label array, a few masks and the witness graph
+    tracemalloc.start()
+    try:
+        _search_1025(0.45)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (8 * 1025 * 1025)
 
 
 def test_grid_spec_covering():
