@@ -22,11 +22,7 @@ from .potentials import (
 )
 from .crossover import (
     CrossoverEval,
-    bessel_i,
-    bessel_k_quarter,
     chi,
-    gamma_fn,
-    normal_cdf,
     psi_minus,
     psi_plus,
     theta_minus,

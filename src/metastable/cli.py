@@ -17,6 +17,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,6 @@ from .rates import (
     SWEEP_FIELDS,
     UNIT_MINIMUM,
     MinimumSpec,
-    RateResult,
     SaddleSpec,
     closed_rate,
     sweep_doublezero,
@@ -220,22 +220,6 @@ def _rate_specs(
     return min_spec, spec, sc
 
 
-def _rate_row(result: RateResult) -> dict:
-    return {
-        "regime_tag": result.regime_tag,
-        "eps": result.eps,
-        "barrier": result.barrier,
-        "saddle_value": result.saddle_value,
-        "prefactor": result.prefactor,
-        "expected_time": result.expected_time,
-        "capacity_prefactor": result.capacity_prefactor,
-        "capacity": result.capacity,
-        "dimension": result.dimension,
-        "error_order": result.error_order,
-        "notes": list(result.notes),
-    }
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -265,7 +249,7 @@ def _cmd_rate(ns, argv) -> int:
     min_spec, spec, sc = _rate_specs(model, minimum, saddle)
     doc = {
         "classification": {"tag": sc.tag.value, "verdict": sc.verdict.value},
-        "results": [_rate_row(closed_rate(min_spec, spec, e)) for e in _parse_floats(ns.eps)],
+        "results": [asdict(closed_rate(min_spec, spec, e)) for e in _parse_floats(ns.eps)],
     }
     _write_json(out / "rate.json", doc)
     _write_manifest(out, ns, argv, ["rate.json"])
@@ -402,7 +386,7 @@ def _cmd_simulate(ns, argv) -> int:
         write_times_csv(estimate, out / "times.csv")
         outputs.append("times.csv")
     if prediction is not None:
-        doc["prediction"] = _rate_row(prediction)
+        doc["prediction"] = asdict(prediction)
 
     if estimate.censored_fraction > MAX_CENSORED_FRACTION:
         doc["error"] = (

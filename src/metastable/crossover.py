@@ -10,9 +10,10 @@ quadratic-saddle regime and the degenerate regimes:
 
 Each function carries two genuinely independent evaluation routes: a closed
 form in terms of Bessel/erf-type special functions, and direct adaptive
-quadrature of the defining integral.  ``route="auto"`` switches from the
-quadrature to the closed form at ``alpha = 0.5``, where the Bessel arguments
-stop degenerating.
+quadrature of the defining integral.  The closed form serves every
+``alpha >= 0`` and is what ``route="auto"`` takes; the Bessel functions of
+order 1/4 switch to their Hankel expansions from the argument z = 20 on.  The
+quadrature route is the independent check on it.
 """
 
 from __future__ import annotations
@@ -20,15 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy import integrate, special
 
 __all__ = [
     "CrossoverEval",
-    "gamma_fn",
-    "normal_cdf",
-    "bessel_i",
-    "bessel_k_quarter",
     "psi_plus",
     "psi_minus",
     "theta_plus",
@@ -38,7 +34,6 @@ __all__ = [
     "CROSSOVER_FUNCTIONS",
 ]
 
-_ROUTE_SWITCH = 0.5
 # exp(-T) is 1e-18: integrands are truncated where they fall this far below peak
 _LOG_TRUNC = -math.log(1e-18)
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=60)
@@ -54,69 +49,39 @@ class CrossoverEval:
 
 
 # ---------------------------------------------------------------------------
-# basic special functions
+# scaled Bessel functions of order 1/4
+
+# From this argument on, the Hankel sums below reach double precision within
+# 26 terms (6 at z = 1e3); below it scipy's scaled Bessel functions do.
+_HANKEL_MIN = 20.0
 
 
-def gamma_fn(x: float) -> float:
-    """Euler Gamma for strictly positive argument."""
-    if x <= 0:
-        raise ValueError(f"gamma_fn requires x > 0, got {x}")
-    return float(special.gamma(x))
+def _hankel_sum(z: float) -> float:
+    # sum_k a_k(1/4) / z^k of DLMF 10.40.1-2 (z < 0 gives the alternating
+    # sum), with a_k(nu) = prod_{j<=k} (4 nu^2 - (2j - 1)^2) / (k! 8^k)
+    total = term = 1.0
+    for k in range(1, 40):
+        term *= (0.25 - (2 * k - 1) ** 2) / (8.0 * k * z)
+        total += term
+        if abs(term) < 1e-17 * abs(total):
+            break
+    return total
 
 
-def normal_cdf(x: float):
-    """Standard normal distribution function Phi."""
-    return special.ndtr(x)
+def _scaled_k_quarter(z: float) -> float:
+    # e^z K_{1/4}(z) for z > 0
+    if z < _HANKEL_MIN:
+        return float(special.kve(0.25, z))
+    return math.sqrt(math.pi / (2.0 * z)) * _hankel_sum(z)
 
 
-def bessel_i(nu: float, x: float) -> float:
-    """Modified Bessel function I_nu for nu in {0, 1/4, -1/4} and x >= 0."""
-    if not any(math.isclose(nu, v, abs_tol=1e-15) for v in (0.0, 0.25, -0.25)):
-        raise ValueError(f"bessel_i supports nu in {{0, 1/4, -1/4}}, got {nu}")
-    if x < 0:
-        raise ValueError(f"bessel_i requires x >= 0, got {x}")
-    return float(special.iv(nu, x))
-
-
-def _k_quarter_integral(x: float, scaled: bool) -> float:
-    # K_{1/4}(x) = int_0^inf exp(-x cosh t) cosh(t/4) dt; `scaled` multiplies e^x.
-    tmax = math.acosh(1.0 + (_LOG_TRUNC + 5.0) / x) + 1.0
-
-    def f(t):
-        arg = -x * (math.cosh(t) - 1.0) if scaled else -x * math.cosh(t)
-        return math.exp(arg) * math.cosh(t / 4.0)
-
-    val, _ = integrate.quad(f, 0.0, tmax, **_QUAD_OPTS)
-    return val
-
-
-# Above this argument the I_{±1/4} connection formula loses ~2x/ln(10) digits
-# to cancellation; switch to the integral representation there.
-_K_CONNECTION_MAX = 5.0
-
-
-def bessel_k_quarter(x: float) -> float:
-    """Modified Bessel function K_{1/4}(x) for x > 0.
-
-    Uses the connection formula ``K_nu = pi/(2 sin(nu pi)) (I_{-nu} - I_nu)``
-    for small arguments and the integral representation for large ones.
-    """
-    if x <= 0:
-        raise ValueError(f"bessel_k_quarter requires x > 0, got {x}")
-    if x <= _K_CONNECTION_MAX:
-        return float(
-            math.pi
-            / (2.0 * math.sin(math.pi / 4.0))
-            * (special.iv(-0.25, x) - special.iv(0.25, x))
-        )
-    return _k_quarter_integral(x, scaled=False)
-
-
-def _scaled_k_quarter(x: float) -> float:
-    # e^x K_{1/4}(x), overflow-safe for all x > 0
-    if x <= _K_CONNECTION_MAX:
-        return math.exp(x) * bessel_k_quarter(x)
-    return _k_quarter_integral(x, scaled=True)
+def _scaled_i_quarter_pair(z: float) -> float:
+    # e^{-z} (I_{-1/4} + I_{1/4})(z) for z > 0; I_{-1/4} - I_{1/4} is
+    # (sqrt(2)/pi) K_{1/4}, e^{-2z} relative to the pair, so from _HANKEL_MIN
+    # on the pair is twice the Hankel form of I_{1/4}
+    if z < _HANKEL_MIN:
+        return float(special.ive(-0.25, z) + special.ive(0.25, z))
+    return 2.0 / math.sqrt(2.0 * math.pi * z) * _hankel_sum(-z)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +147,7 @@ def _chi_quadrature(alpha: float) -> float:
 
 
 def _psi_zero() -> float:
-    return gamma_fn(0.25) / (2.0**1.25 * math.sqrt(math.pi))
+    return float(special.gamma(0.25)) / (2.0**1.25 * math.sqrt(math.pi))
 
 
 def _psi_plus_closed(alpha: float) -> float:
@@ -196,8 +161,7 @@ def _psi_minus_closed(alpha: float) -> float:
     z = alpha * alpha / 64.0
     if z < 1e-100:
         return _psi_zero()
-    scaled_sum = float(special.ive(-0.25, z) + special.ive(0.25, z))
-    return math.sqrt(math.pi * alpha * (1.0 + alpha) / 32.0) * scaled_sum
+    return math.sqrt(math.pi * alpha * (1.0 + alpha) / 32.0) * _scaled_i_quarter_pair(z)
 
 
 def _theta_plus_closed(alpha: float) -> float:
@@ -222,11 +186,9 @@ def _chi_closed(alpha: float) -> float:
 # public crossover functions
 
 
-def _resolve_route(alpha: float, route: str) -> str:
-    """The route ``route="auto"`` stands for at ``alpha``; other routes pass through."""
-    if route == "auto":
-        return "quadrature" if alpha < _ROUTE_SWITCH else "closed_form"
-    return route
+def _resolve_route(route: str) -> str:
+    """The route ``route="auto"`` stands for; other routes pass through."""
+    return "closed_form" if route == "auto" else route
 
 
 def _dispatch(alpha, route, closed, quadrature) -> float:
@@ -236,7 +198,7 @@ def _dispatch(alpha, route, closed, quadrature) -> float:
             f"crossover functions take alpha >= 0, got {alpha}; "
             "map negative eigenvalues through the appropriate case split first"
         )
-    route = _resolve_route(alpha, route)
+    route = _resolve_route(route)
     if route == "closed_form":
         return closed(alpha)
     if route == "quadrature":
@@ -287,4 +249,4 @@ def evaluate(name: str, alpha: float, route: str = "auto") -> CrossoverEval:
             f"unknown crossover function {name!r}; choose from {sorted(CROSSOVER_FUNCTIONS)}"
         ) from None
     alpha = float(alpha)
-    return CrossoverEval(alpha=alpha, value=fn(alpha, route), route=_resolve_route(alpha, route))
+    return CrossoverEval(alpha=alpha, value=fn(alpha, route), route=_resolve_route(route))

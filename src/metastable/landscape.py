@@ -790,7 +790,10 @@ def communication_height_2d(model: PotentialModel, a, b, grid) -> GateResult:
     g = GridSpec2D.coerce(grid)
     xs = np.linspace(g.xmin, g.xmax, g.nx)
     ys = np.linspace(g.ymin, g.ymax, g.ny)
-    V = _grid_values(model, (xs, ys))
+    # a cell that overflows is searched as inf or reported as NaN below, so
+    # numpy's warnings about it would only repeat that
+    with np.errstate(over="ignore", invalid="ignore"):
+        V = _grid_values(model, (xs, ys))
     nan = np.count_nonzero(np.isnan(V))
     if nan:
         raise ValueError(f"the potential is NaN at {nan} of {V.size} grid cells")

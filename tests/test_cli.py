@@ -274,6 +274,28 @@ def test_sweep_emits_one_row_per_grid_point_and_eps(tmp_path):
     assert [float(r[eps_col]) for r in rows[6:]] == [0.1] * 5
 
 
+def test_sweep_at_large_alpha_reaches_the_classical_prefactor(tmp_path):
+    # quartic 1e-6 at eps 1e-4 puts alpha = lambda2 / sqrt(2 eps quartic) at
+    # 3.5e4 and 7.1e4, where the prefactor is the classical 2 pi sqrt(lambda2)
+    # to O(1 / alpha^2)
+    code = run(
+        tmp_path,
+        "sweep",
+        "--scenario", "transverse",
+        "--quartic", "1e-6",
+        "--grid=-1:1:5",
+        "--eps", "1e-4",
+    )
+    assert code == 0
+    rows = read_csv(tmp_path, "sweep.csv")
+    prefactors = {
+        float(r[rows[0].index("control_parameter")]): float(r[rows[0].index("prefactor")])
+        for r in rows[1:]
+    }
+    for lambda2 in (0.5, 1.0):
+        assert prefactors[lambda2] == pytest.approx(2 * math.pi * math.sqrt(lambda2), rel=1e-6)
+
+
 def test_sweep_json_format(tmp_path):
     code = run(
         tmp_path,

@@ -582,6 +582,7 @@ def test_communication_height_rejects_nan_cells_only(bad, count):
         assert got[0] == 0.5
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_communication_height_rejects_a_polynomial_that_overflows_to_nan():
     # x^4 and y^4 overflow to inf beyond about 1e77, and inf - inf is NaN
     model = poly(2, ((4, 0), 1.0), ((0, 4), -1.0))

@@ -410,7 +410,9 @@ _CROSSOVER_ERROR = {
 }
 
 # every note written at a window edge, with the full result it rides on
-# (values recorded before the boundary comparison was factored out)
+# (values recorded before the boundary comparison was factored out; the two
+# upper-edge pins re-recorded when psi_plus took e^z K_{1/4}(z) from scipy's
+# kve instead of the I_{+-1/4} connection formula, 2e-15 relative apart)
 EDGE_CASES = {
     "transverse-upper": (
         pitchfork_transverse_time,
@@ -418,8 +420,8 @@ EDGE_CASES = {
         SaddleSpec(0.5, PitchforkTransverse(_EDGE_W, 0.5), (2.0,), 1.25),
         RateResult(
             regime_tag="pitchfork-transverse", eps=0.01, barrier=0.75, saddle_value=0.5,
-            prefactor=1.4425614143361343, expected_time=5.3854308549614214e32,
-            capacity_prefactor=0.0036392696558596492, capacity=7.019240795438998e-25,
+            prefactor=1.4425614143361374, expected_time=5.385430854961433e32,
+            capacity_prefactor=0.003639269655859642, capacity=7.019240795438983e-25,
             dimension=3, error_order=_CROSSOVER_ERROR["|lambda2|"],
             notes=("at the upper crossover boundary lambda2 = sqrt(eps |log eps|); "
                    "classical-branch prefactor discrepancy 1.493e-01",),
@@ -448,8 +450,8 @@ EDGE_CASES = {
         SaddleSpec(0.5, PitchforkLongitudinal(-_EDGE_W, 0.5), (2.0, 3.0)),
         RateResult(
             regime_tag="pitchfork-longitudinal", eps=0.01, barrier=0.75, saddle_value=0.5,
-            prefactor=9.421467022126345, expected_time=3.51726163584589e33,
-            capacity_prefactor=0.000557224259192134, capacity=1.0747462051986352e-25,
+            prefactor=9.421467022126325, expected_time=3.5172616358458825e33,
+            capacity_prefactor=0.0005572242591921352, capacity=1.0747462051986375e-25,
             dimension=3, error_order=_CROSSOVER_ERROR["|lambda1|"],
             notes=("at the crossover boundary |lambda1| = sqrt(eps |log eps|); "
                    "classical-branch prefactor discrepancy 1.493e-01",),
