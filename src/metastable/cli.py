@@ -5,9 +5,9 @@ corresponding library modules, and writes data-only artifacts (JSON/CSV) plus
 a ``manifest.json`` into the output directory.  Reruns of the same manifest
 produce byte-identical outputs.
 
-Exit codes: 0 success, 1 usage or specification error, 2 numerical
-non-convergence, 3 invariant violation (capacity ordering, excessive
-censoring).
+Exit codes: 0 success, 1 usage or specification error (a ``ValueError``
+included), 2 numerical non-convergence or a result outside the float64 range,
+3 invariant violation (capacity ordering, excessive censoring).
 """
 
 from __future__ import annotations
@@ -213,10 +213,7 @@ def _rate_specs(
     min_spec = MinimumSpec(
         value=minimum.value, eigenvalues=tuple(float(v) for v in minimum.eigenvalues)
     )
-    try:
-        spec, sc = saddle_spec(model, saddle)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    spec, sc = saddle_spec(model, saddle)
     return min_spec, spec, sc
 
 
@@ -366,20 +363,17 @@ def _cmd_simulate(ns, argv) -> int:
         saddle = _converge(model, _parse_vector(ns.saddle_seed), "saddle")
         min_spec, spec, _ = _rate_specs(model, minimum, saddle)
         prediction = closed_rate(min_spec, spec, eps)
-    try:
-        config = SimulationConfig(
-            eps=eps,
-            dt=dt,
-            max_time=ns.max_time,
-            replicas=ns.replicas,
-            seed=ns.seed,
-            start=start,
-            target=Ball(center, radius),
-            keep_times=bool(ns.times_csv),
-        )
-        estimate = simulate_first_hitting(model, config)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    config = SimulationConfig(
+        eps=eps,
+        dt=dt,
+        max_time=ns.max_time,
+        replicas=ns.replicas,
+        seed=ns.seed,
+        start=start,
+        target=Ball(center, radius),
+        keep_times=bool(ns.times_csv),
+    )
+    estimate = simulate_first_hitting(model, config)
     doc = {"estimate": estimate_json(estimate), "dt": dt, "radius": radius}
     outputs = ["simulate.json"]
     if ns.times_csv:
@@ -506,13 +500,13 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         return _HANDLERS[ns.command](ns, argv)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"metastable {ns.command}: error: {exc}", file=sys.stderr)
         return 1
     except InvariantViolation as exc:
         print(f"metastable {ns.command}: invariant violation: {exc}", file=sys.stderr)
         return 3
-    except OutOfRange as exc:
+    except (OutOfRange, OverflowError) as exc:
         print(f"metastable {ns.command}: out of range: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

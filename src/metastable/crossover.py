@@ -8,11 +8,12 @@ quadratic-saddle regime and the degenerate regimes:
 * ``theta_plus`` / ``theta_minus`` — doubly-degenerate (double-zero) gate,
 * ``chi`` — rotationally symmetric ring of gates.
 
-Each function carries two genuinely independent evaluation routes: a closed
+Each function has two genuinely independent evaluation routes: a closed
 form in terms of Bessel/erf-type special functions, and direct adaptive
-quadrature of the defining integral.  The closed form serves every
-``alpha >= 0`` and is what ``route="auto"`` takes; the Bessel functions of
-order 1/4 switch to their Hankel expansions from the argument z = 20 on.  The
+quadrature of the defining integral.  The public functions are the closed
+forms, valid for every ``alpha >= 0``; the scaled Bessel functions switch to
+their Hankel expansions from the argument z = 20 on.  The route is chosen in
+one place, :func:`evaluate` (``route="auto"`` is the closed form), and the
 quadrature route is the independent check on it.
 """
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from scipy import integrate, special
 
@@ -49,19 +51,20 @@ class CrossoverEval:
 
 
 # ---------------------------------------------------------------------------
-# scaled Bessel functions of order 1/4
+# scaled modified Bessel functions
 
 # From this argument on, the Hankel sums below reach double precision within
-# 26 terms (6 at z = 1e3); below it scipy's scaled Bessel functions do.
+# 27 terms (6 at z = 1e3); below it scipy's scaled Bessel functions do.
 _HANKEL_MIN = 20.0
 
 
-def _hankel_sum(z: float) -> float:
-    # sum_k a_k(1/4) / z^k of DLMF 10.40.1-2 (z < 0 gives the alternating
+def _hankel_sum(z: float, nu: float) -> float:
+    # sum_k a_k(nu) / z^k of DLMF 10.40.1-2 (z < 0 gives the alternating
     # sum), with a_k(nu) = prod_{j<=k} (4 nu^2 - (2j - 1)^2) / (k! 8^k)
+    four_nu2 = 4.0 * nu * nu
     total = term = 1.0
     for k in range(1, 40):
-        term *= (0.25 - (2 * k - 1) ** 2) / (8.0 * k * z)
+        term *= (four_nu2 - (2 * k - 1) ** 2) / (8.0 * k * z)
         total += term
         if abs(term) < 1e-17 * abs(total):
             break
@@ -72,7 +75,7 @@ def _scaled_k_quarter(z: float) -> float:
     # e^z K_{1/4}(z) for z > 0
     if z < _HANKEL_MIN:
         return float(special.kve(0.25, z))
-    return math.sqrt(math.pi / (2.0 * z)) * _hankel_sum(z)
+    return math.sqrt(math.pi / (2.0 * z)) * _hankel_sum(z, 0.25)
 
 
 def _scaled_i_quarter_pair(z: float) -> float:
@@ -81,7 +84,14 @@ def _scaled_i_quarter_pair(z: float) -> float:
     # on the pair is twice the Hankel form of I_{1/4}
     if z < _HANKEL_MIN:
         return float(special.ive(-0.25, z) + special.ive(0.25, z))
-    return 2.0 / math.sqrt(2.0 * math.pi * z) * _hankel_sum(-z)
+    return 2.0 / math.sqrt(2.0 * math.pi * z) * _hankel_sum(-z, 0.25)
+
+
+def _scaled_i_zero(z: float) -> float:
+    # e^{-z} I_0(z) for z >= 0; scipy's ive(0, z) is NaN from z ~ 5e9 on
+    if z < _HANKEL_MIN:
+        return float(special.ive(0.0, z))
+    return _hankel_sum(-z, 0.0) / math.sqrt(2.0 * math.pi) / math.sqrt(z)
 
 
 # ---------------------------------------------------------------------------
@@ -143,28 +153,44 @@ def _chi_quadrature(alpha: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# closed-form routes
+# closed-form routes: the public functions
+
+
+def _check_alpha(alpha: float) -> float:
+    alpha = float(alpha)
+    if alpha < 0:
+        raise ValueError(
+            f"crossover functions take alpha >= 0, got {alpha}; "
+            "map negative eigenvalues through the appropriate case split first"
+        )
+    return alpha
 
 
 def _psi_zero() -> float:
     return float(special.gamma(0.25)) / (2.0**1.25 * math.sqrt(math.pi))
 
 
-def _psi_plus_closed(alpha: float) -> float:
+def psi_plus(alpha: float) -> float:
+    """Crossover function for a soft transverse direction (un-split side)."""
+    alpha = _check_alpha(alpha)
     z = alpha * alpha / 16.0
     if z < 1e-100:  # limit value; the O(alpha) correction is below 1e-50
         return _psi_zero()
     return math.sqrt(alpha * (1.0 + alpha) / (8.0 * math.pi)) * _scaled_k_quarter(z)
 
 
-def _psi_minus_closed(alpha: float) -> float:
+def psi_minus(alpha: float) -> float:
+    """Crossover function on the split side of a pitchfork (two parallel gates)."""
+    alpha = _check_alpha(alpha)
     z = alpha * alpha / 64.0
     if z < 1e-100:
         return _psi_zero()
     return math.sqrt(math.pi * alpha * (1.0 + alpha) / 32.0) * _scaled_i_quarter_pair(z)
 
 
-def _theta_plus_closed(alpha: float) -> float:
+def theta_plus(alpha: float) -> float:
+    """Crossover function for a double-zero gate, non-degenerate side."""
+    alpha = _check_alpha(alpha)
     # sqrt(pi/2)(1+a) e^{a^2/8} Phi(-a/2) written with erfcx to avoid overflow
     return (
         math.sqrt(math.pi / 2.0)
@@ -174,74 +200,42 @@ def _theta_plus_closed(alpha: float) -> float:
     )
 
 
-def _theta_minus_closed(alpha: float) -> float:
+def theta_minus(alpha: float) -> float:
+    """Crossover function for a double-zero gate, split side."""
+    alpha = _check_alpha(alpha)
     return math.sqrt(math.pi / 2.0) * float(special.ndtr(alpha / 2.0))
 
 
-def _chi_closed(alpha: float) -> float:
-    return 2.0 * math.sqrt(1.0 + alpha) * float(special.ive(0.0, alpha))
+def chi(alpha: float) -> float:
+    """Crossover function for a rotationally symmetric ring of gates."""
+    alpha = _check_alpha(alpha)
+    return 2.0 * math.sqrt(1.0 + alpha) * _scaled_i_zero(alpha)
 
 
 # ---------------------------------------------------------------------------
-# public crossover functions
+# the route table
 
 
-def _resolve_route(route: str) -> str:
-    """The route ``route="auto"`` stands for; other routes pass through."""
-    return "closed_form" if route == "auto" else route
-
-
-def _dispatch(alpha, route, closed, quadrature) -> float:
-    alpha = float(alpha)
-    if alpha < 0:
-        raise ValueError(
-            f"crossover functions take alpha >= 0, got {alpha}; "
-            "map negative eigenvalues through the appropriate case split first"
-        )
-    route = _resolve_route(route)
+def _by_route(closed, quadrature, alpha: float, route: str) -> float:
     if route == "closed_form":
         return closed(alpha)
     if route == "quadrature":
-        return quadrature(alpha)
+        return quadrature(_check_alpha(alpha))
     raise ValueError(f"unknown route {route!r}")
 
 
-def psi_plus(alpha: float, route: str = "auto") -> float:
-    """Crossover function for a soft transverse direction (un-split side)."""
-    return _dispatch(alpha, route, _psi_plus_closed, _psi_plus_quadrature)
-
-
-def psi_minus(alpha: float, route: str = "auto") -> float:
-    """Crossover function on the split side of a pitchfork (two parallel gates)."""
-    return _dispatch(alpha, route, _psi_minus_closed, _psi_minus_quadrature)
-
-
-def theta_plus(alpha: float, route: str = "auto") -> float:
-    """Crossover function for a double-zero gate, non-degenerate side."""
-    return _dispatch(alpha, route, _theta_plus_closed, _theta_plus_quadrature)
-
-
-def theta_minus(alpha: float, route: str = "auto") -> float:
-    """Crossover function for a double-zero gate, split side."""
-    return _dispatch(alpha, route, _theta_minus_closed, _theta_minus_quadrature)
-
-
-def chi(alpha: float, route: str = "auto") -> float:
-    """Crossover function for a rotationally symmetric ring of gates."""
-    return _dispatch(alpha, route, _chi_closed, _chi_quadrature)
-
-
+# name -> fn(alpha, route) over the function's (closed form, quadrature) pair
 CROSSOVER_FUNCTIONS = {
-    "psi_plus": psi_plus,
-    "psi_minus": psi_minus,
-    "theta_plus": theta_plus,
-    "theta_minus": theta_minus,
-    "chi": chi,
+    "psi_plus": partial(_by_route, psi_plus, _psi_plus_quadrature),
+    "psi_minus": partial(_by_route, psi_minus, _psi_minus_quadrature),
+    "theta_plus": partial(_by_route, theta_plus, _theta_plus_quadrature),
+    "theta_minus": partial(_by_route, theta_minus, _theta_minus_quadrature),
+    "chi": partial(_by_route, chi, _chi_quadrature),
 }
 
 
 def evaluate(name: str, alpha: float, route: str = "auto") -> CrossoverEval:
-    """Evaluate a named crossover function, recording the route actually used."""
+    """Evaluate a named crossover function by ``route``; ``"auto"`` is the closed form."""
     try:
         fn = CROSSOVER_FUNCTIONS[name]
     except KeyError:
@@ -249,4 +243,5 @@ def evaluate(name: str, alpha: float, route: str = "auto") -> CrossoverEval:
             f"unknown crossover function {name!r}; choose from {sorted(CROSSOVER_FUNCTIONS)}"
         ) from None
     alpha = float(alpha)
-    return CrossoverEval(alpha=alpha, value=fn(alpha, route), route=_resolve_route(route))
+    route = "closed_form" if route == "auto" else route
+    return CrossoverEval(alpha=alpha, value=fn(alpha, route), route=route)

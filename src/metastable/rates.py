@@ -14,12 +14,14 @@ gate geometries:
 - :func:`doublezero_time` -- crossover law for a double-zero bifurcation,
 - :func:`sombrero_time` -- ring of ``2M`` gates past a double-zero bifurcation.
 
-All results come back as :class:`RateResult`, whose ``expected_time`` equals
+Each regime states its time prefactor once.  The capacity prefactor follows
+from it by the potential-theoretic duality of Bovier, Eckhoff, Gayrard and
+Klein, ``prefactor * capacity_prefactor = (2*pi*eps)**(d/2) / sqrt(det_min)``
+with ``det_min`` the Hessian determinant at the starting minimum, and
+:func:`_result` derives it there for every regime.  All results come back as
+:class:`RateResult`, whose ``expected_time`` equals
 ``prefactor * exp(barrier / eps)`` exactly (in float arithmetic) and whose
-``capacity`` equals ``capacity_prefactor * exp(-saddle_value / eps)``.  The
-time and capacity prefactors of every regime satisfy the exact algebraic
-duality ``prefactor * capacity_prefactor = (2*pi*eps)**(d/2) / sqrt(det_min)``
-where ``det_min`` is the Hessian determinant at the starting minimum.
+``capacity`` equals ``capacity_prefactor * exp(-saddle_value / eps)``.
 """
 
 from __future__ import annotations
@@ -362,7 +364,9 @@ class RateResult:
 
     ``expected_time == prefactor * exp(barrier / eps)`` and
     ``capacity == capacity_prefactor * exp(-saddle_value / eps)`` hold exactly
-    in float arithmetic (overflowing exponentials saturate to ``inf``).
+    in float arithmetic (overflowing exponentials saturate to ``inf``).  The
+    capacity prefactor is derived from ``prefactor`` by the duality
+    ``prefactor * capacity_prefactor = (2*pi*eps)**(dimension/2) / sqrt(det_min)``.
     """
 
     regime_tag: str
@@ -384,12 +388,15 @@ def _result(
     minimum: MinimumSpec,
     saddle: SaddleSpec,
     prefactor: float,
-    capacity_prefactor: float,
     error_order: str,
     notes: Sequence[str] = (),
 ) -> RateResult:
     if not (math.isfinite(prefactor) and prefactor > 0.0):
         raise ValueError(f"computed a non-positive prefactor {prefactor!r}")
+    # the duality, with the power taken after the quotient: (2 pi eps)**(d/2)
+    # alone leaves the normal float range in 3-D below eps ~ 1e-206
+    d = saddle.dimension
+    capacity_prefactor = (TWO_PI * eps / (minimum.det ** (1 / d) * prefactor ** (2 / d))) ** (d / 2)
     if not (math.isfinite(capacity_prefactor) and capacity_prefactor > 0.0):
         raise ValueError(f"computed a non-positive capacity prefactor {capacity_prefactor!r}")
     barrier = saddle.value - minimum.value
@@ -402,7 +409,7 @@ def _result(
         expected_time=prefactor * _safe_exp(barrier / eps),
         capacity_prefactor=capacity_prefactor,
         capacity=capacity_prefactor * _safe_exp(-saddle.value / eps),
-        dimension=saddle.dimension,
+        dimension=d,
         error_order=error_order,
         notes=tuple(notes),
     )
@@ -410,10 +417,10 @@ def _result(
 
 def _setup(
     minimum: MinimumSpec, saddle: SaddleSpec, eps: float, kind: type
-) -> tuple[float, Regime, float | None, float, int]:
+) -> tuple[float, Regime, float | None, float]:
     """Checks every rate operation starts with.
 
-    Returns ``(eps, regime, |lambda_1| or None, stable product, dimension)``.
+    Returns ``(eps, regime, |lambda_1| or None, stable product)``.
     """
     eps = _check_eps(eps)
     if not isinstance(saddle.regime, kind):
@@ -428,7 +435,7 @@ def _setup(
             f"implies dimension {d}"
         )
     lam1 = saddle.unstable_eigenvalue
-    return eps, saddle.regime, None if lam1 is None else float(lam1), saddle.stable_product, d
+    return eps, saddle.regime, None if lam1 is None else float(lam1), saddle.stable_product
 
 
 def _flat_error(p: int) -> str:
@@ -502,10 +509,9 @@ def ek_classical(minimum: MinimumSpec, saddle: SaddleSpec, eps: float) -> RateRe
         ``prefactor = (2*pi/|lambda_1|) * sqrt(|det Hess(z)| / det Hess(x))``
         and the matching capacity.
     """
-    eps, _, lam1, prod, d = _setup(minimum, saddle, eps, Quadratic)
+    eps, _, lam1, prod = _setup(minimum, saddle, eps, Quadratic)
     prefactor = (TWO_PI / lam1) * math.sqrt(lam1 * prod / minimum.det)
-    cap_pref = math.sqrt((TWO_PI * eps) ** d * lam1 / prod) / TWO_PI
-    return _result("classical", eps, minimum, saddle, prefactor, cap_pref, _CLASSICAL_ERROR)
+    return _result("classical", eps, minimum, saddle, prefactor, _CLASSICAL_ERROR)
 
 
 def ek_flat_unstable(minimum: MinimumSpec, saddle: SaddleSpec, eps: float) -> RateResult:
@@ -515,19 +521,14 @@ def ek_flat_unstable(minimum: MinimumSpec, saddle: SaddleSpec, eps: float) -> Ra
     ``c = regime.coefficient``.  The prefactor carries ``eps**(-(p-1)/(2p))``,
     so the subexponential order *grows* as ``eps`` shrinks.
     """
-    eps, regime, _, prod, d = _setup(minimum, saddle, eps, FlatUnstable)
+    eps, regime, _, prod = _setup(minimum, saddle, eps, FlatUnstable)
     p, c = regime.p, regime.coefficient
     gamma = math.gamma(1.0 / (2 * p))
     root = c ** (1.0 / (2 * p))
     prefactor = (
         gamma / (p * root) * math.sqrt(TWO_PI * prod / minimum.det) * eps ** (-(p - 1) / (2 * p))
     )
-    cap_pref = (
-        (p * root / gamma)
-        * math.sqrt(TWO_PI ** (d - 1) / prod)
-        * eps ** (d / 2 + (p - 1) / (2 * p))
-    )
-    return _result("flat-unstable", eps, minimum, saddle, prefactor, cap_pref, _flat_error(p))
+    return _result("flat-unstable", eps, minimum, saddle, prefactor, _flat_error(p))
 
 
 def ek_flat_stable(minimum: MinimumSpec, saddle: SaddleSpec, eps: float) -> RateResult:
@@ -537,7 +538,7 @@ def ek_flat_stable(minimum: MinimumSpec, saddle: SaddleSpec, eps: float) -> Rate
     prefactor carries ``eps**(+(p-1)/(2p))`` (the flat stable direction widens
     the gate, shortening the time as noise grows).
     """
-    eps, regime, lam1, prod, d = _setup(minimum, saddle, eps, FlatStable)
+    eps, regime, lam1, prod = _setup(minimum, saddle, eps, FlatStable)
     p, c = regime.p, regime.coefficient
     gamma = math.gamma(1.0 / (2 * p))
     root = c ** (1.0 / (2 * p))
@@ -546,12 +547,7 @@ def ek_flat_stable(minimum: MinimumSpec, saddle: SaddleSpec, eps: float) -> Rate
         * math.sqrt(TWO_PI**3 * prod / (lam1 * minimum.det))
         * eps ** ((p - 1) / (2 * p))
     )
-    cap_pref = (
-        (gamma / (p * root))
-        * math.sqrt(TWO_PI ** (d - 3) * lam1 / prod)
-        * eps ** (d / 2 - (p - 1) / (2 * p))
-    )
-    return _result("flat-stable", eps, minimum, saddle, prefactor, cap_pref, _flat_error(p))
+    return _result("flat-stable", eps, minimum, saddle, prefactor, _flat_error(p))
 
 
 def ek_codim2(minimum: MinimumSpec, saddle: SaddleSpec, eps: float) -> RateResult:
@@ -561,7 +557,7 @@ def ek_codim2(minimum: MinimumSpec, saddle: SaddleSpec, eps: float) -> RateResul
     the angular profile enters through ``I_p = integral k(phi)**(-1/p) dphi``,
     evaluated adaptively (closed form for constant ``k``).
     """
-    eps, regime, lam1, prod, d = _setup(minimum, saddle, eps, Codim2)
+    eps, regime, lam1, prod = _setup(minimum, saddle, eps, Codim2)
     p = regime.p
     i_p = _angular_integral(regime.angular, -1.0 / p)
     gamma = math.gamma(1.0 / p)
@@ -571,13 +567,7 @@ def ek_codim2(minimum: MinimumSpec, saddle: SaddleSpec, eps: float) -> RateResul
         * math.sqrt(TWO_PI**4 * prod / (lam1 * minimum.det))
         * eps ** ((p - 1) / p)
     )
-    cap_pref = (
-        (gamma / (2 * p))
-        * i_p
-        * math.sqrt(TWO_PI ** (d - 4) * lam1 / prod)
-        * eps ** (d / 2 - (p - 1) / p)
-    )
-    return _result("codim2", eps, minimum, saddle, prefactor, cap_pref, _flat_error(p))
+    return _result("codim2", eps, minimum, saddle, prefactor, _flat_error(p))
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +674,7 @@ def pitchfork_transverse_time(minimum: MinimumSpec, saddle: SaddleSpec, eps: flo
     spectrum ``mu_3..mu_d``), with the ``psi_minus`` correction accounting for
     the two parallel gates.
     """
-    eps, regime, lam1, prod, d = _setup(minimum, saddle, eps, PitchforkTransverse)
+    eps, regime, lam1, prod = _setup(minimum, saddle, eps, PitchforkTransverse)
     a = math.sqrt(2.0 * eps * regime.quartic)
     if regime.lambda2 >= 0.0:
         if regime.mu2 is not None:
@@ -712,16 +702,13 @@ def pitchfork_transverse_time(minimum: MinimumSpec, saddle: SaddleSpec, eps: flo
             "at the lower crossover boundary lambda2 = -sqrt(eps |log eps|); two-gate classical"
         )
     prefactor = TWO_PI * math.sqrt((soft + a) * prod / (lam1 * minimum.det)) / psi
-    cap_pref = math.sqrt(TWO_PI ** (d - 2) * lam1 / ((soft + a) * prod)) * psi * eps ** (d / 2)
     notes = ()
     if _window_edge(edge, soft_window(eps)):
         comparison = replace(
             saddle, regime=Quadratic(), stable_eigenvalues=(soft,) + saddle.stable_eigenvalues
         )
         notes = (_classical_note(edge_text, prefactor, minimum, comparison, eps, gates),)
-    return _result(
-        tag, eps, minimum, saddle, prefactor, cap_pref, _crossover_error("|lambda2|"), notes
-    )
+    return _result(tag, eps, minimum, saddle, prefactor, _crossover_error("|lambda2|"), notes)
 
 
 def pitchfork_longitudinal_time(
@@ -735,7 +722,7 @@ def pitchfork_longitudinal_time(
     must describe the split saddles (altitude ``V(z+-) = V(z) + lambda1**2/(16 C4)``,
     spectrum ``mu_2..mu_d``), crossed in series.
     """
-    eps, regime, _, prod, d = _setup(minimum, saddle, eps, PitchforkLongitudinal)
+    eps, regime, _, prod = _setup(minimum, saddle, eps, PitchforkLongitudinal)
     a = math.sqrt(2.0 * eps * regime.quartic)
     if regime.lambda1 <= 0.0:
         if regime.mu1 is not None:
@@ -759,14 +746,11 @@ def pitchfork_longitudinal_time(
         edge, gates = regime.lambda1, 2
         edge_text = "at the crossover boundary lambda1 = sqrt(eps |log eps|); two-gate series"
     prefactor = TWO_PI * math.sqrt(prod / ((soft + a) * minimum.det)) * psi
-    cap_pref = math.sqrt(TWO_PI ** (d - 2) * (soft + a) / prod) * eps ** (d / 2) / psi
     notes = ()
     if _window_edge(edge, soft_window(eps)):
         comparison = replace(saddle, regime=Quadratic(), unstable_eigenvalue=soft)
         notes = (_classical_note(edge_text, prefactor, minimum, comparison, eps, gates, "series"),)
-    return _result(
-        tag, eps, minimum, saddle, prefactor, cap_pref, _crossover_error("|lambda1|"), notes
-    )
+    return _result(tag, eps, minimum, saddle, prefactor, _crossover_error("|lambda1|"), notes)
 
 
 def doublezero_time(minimum: MinimumSpec, saddle: SaddleSpec, eps: float) -> RateResult:
@@ -780,7 +764,7 @@ def doublezero_time(minimum: MinimumSpec, saddle: SaddleSpec, eps: float) -> Rat
     negative ``lambda2`` is rejected: the ring of developed dips is the regime
     of :func:`sombrero_time`.
     """
-    eps, regime, lam1, prod, d = _setup(minimum, saddle, eps, DoubleZero)
+    eps, regime, lam1, prod = _setup(minimum, saddle, eps, DoubleZero)
     lam2 = float(regime.lambda2)
     window = soft_window(eps)
     notes = ()
@@ -812,7 +796,6 @@ def doublezero_time(minimum: MinimumSpec, saddle: SaddleSpec, eps: float) -> Rat
                 "relative_discrepancy)",
             )
     prefactor = TWO_PI * math.sqrt(prod / (lam1 * minimum.det)) / denom
-    cap_pref = math.sqrt(TWO_PI ** (d - 2) * lam1 / prod) * denom * eps ** (d / 2)
     if lam2 >= 0.0 and _window_edge(lam2, window):
         comparison = replace(
             saddle,
@@ -823,9 +806,7 @@ def doublezero_time(minimum: MinimumSpec, saddle: SaddleSpec, eps: float) -> Rat
             "at the upper crossover boundary lambda2 = sqrt(eps |log eps|); classical-branch"
         )
         notes = (_classical_note(edge_text, prefactor, minimum, comparison, eps),)
-    return _result(
-        tag, eps, minimum, saddle, prefactor, cap_pref, _crossover_error("|lambda2|"), notes
-    )
+    return _result(tag, eps, minimum, saddle, prefactor, _crossover_error("|lambda2|"), notes)
 
 
 def sombrero_time(minimum: MinimumSpec, saddle: SaddleSpec, eps: float) -> RateResult:
@@ -838,7 +819,7 @@ def sombrero_time(minimum: MinimumSpec, saddle: SaddleSpec, eps: float) -> RateR
     ``chi(mu2 mu3 / ((2M)**2 8 eps C4))`` interpolate between the flat-ring,
     rotation-invariant, and ``2M``-discrete-gates regimes.
     """
-    eps, regime, lam1, prod, d = _setup(minimum, saddle, eps, Sombrero)
+    eps, regime, lam1, prod = _setup(minimum, saddle, eps, Sombrero)
     two_m = 2 * regime.gate_pairs
     b = 8.0 * eps * regime.quartic
     theta = theta_minus(regime.mu3 / math.sqrt(b))
@@ -847,16 +828,7 @@ def sombrero_time(minimum: MinimumSpec, saddle: SaddleSpec, eps: float) -> RateR
     prefactor = (
         (TWO_PI / two_m) * math.sqrt(core * prod / (lam1 * minimum.det)) / (theta * chi_val)
     )
-    cap_pref = (
-        two_m
-        * math.sqrt(TWO_PI ** (d - 2) * lam1 / (core * prod))
-        * theta
-        * chi_val
-        * eps ** (d / 2)
-    )
-    return _result(
-        "sombrero", eps, minimum, saddle, prefactor, cap_pref, _crossover_error("mu2")
-    )
+    return _result("sombrero", eps, minimum, saddle, prefactor, _crossover_error("mu2"))
 
 
 # regime class -> (Hessian directions the regime absorbs, whether |lambda_1|

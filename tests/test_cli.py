@@ -296,6 +296,34 @@ def test_sweep_at_large_alpha_reaches_the_classical_prefactor(tmp_path):
         assert prefactors[lambda2] == pytest.approx(2 * math.pi * math.sqrt(lambda2), rel=1e-6)
 
 
+def test_sweep_below_the_doublezero_window_exits_1_with_one_line(tmp_path, capsys):
+    # lambda2 = -0.9 lies below -sqrt(eps |log eps|): the rates layer raises ValueError
+    code = run(tmp_path, "sweep", "--scenario", "doublezero", "--grid=-0.9:0.1:3", "--eps", "0.05")
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("metastable sweep: error: lambda2 = -0.9")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rate", "--potential", "chain", "--params", "N=3,gamma=1.0", "--minimum-seed=-1,-1,-1",
+         "--saddle-seed=0,0,0", "--eps", "1e300"],
+        ["sweep", "--scenario", "sombrero", "--grid", "0.5,1", "--eps", "1e250"],
+    ],
+    ids=["rate", "sweep"],
+)
+def test_huge_eps_exits_0_or_2_without_a_traceback(tmp_path, capsys, argv):
+    # the 3-chain's capacity prefactor ~ (2 pi eps)^(3/2) overflows float64 at
+    # eps 1e300 (OverflowError: exit 2, "out of range"); the sweep stays in range
+    code = run(tmp_path, *argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert len(err.splitlines()) == 1 and ": out of range: " in err
+
+
 def test_sweep_json_format(tmp_path):
     code = run(
         tmp_path,

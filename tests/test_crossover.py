@@ -93,10 +93,10 @@ def test_frozen_reference_values(name):
 
 @pytest.mark.parametrize("name", sorted(_ALL_REF))
 def test_route_agreement(name):
-    fn, ref = _ALL_REF[name]
+    _, ref = _ALL_REF[name]
     for alpha, _ in ref:
-        closed = fn(alpha, route="closed_form")
-        quad = fn(alpha, route="quadrature")
+        closed = evaluate(name, alpha, route="closed_form").value
+        quad = evaluate(name, alpha, route="quadrature").value
         assert closed == pytest.approx(quad, rel=1e-8), (name, alpha)
 
 
@@ -161,9 +161,9 @@ def test_shape_properties(alpha):
 @settings(max_examples=40, deadline=None)
 @given(st.floats(min_value=0.0, max_value=1e3))
 def test_routes_agree_everywhere(alpha):
-    for fn in (psi_plus, psi_minus, theta_plus, theta_minus, chi):
-        assert fn(alpha, route="closed_form") == pytest.approx(
-            fn(alpha, route="quadrature"), rel=1e-7
+    for name in CROSSOVER_FUNCTIONS:
+        assert evaluate(name, alpha, route="closed_form").value == pytest.approx(
+            evaluate(name, alpha, route="quadrature").value, rel=1e-7
         )
 
 
@@ -175,6 +175,17 @@ def test_pitchfork_functions_approach_their_limits_from_above(alpha):
     assert math.isfinite(plus) and math.isfinite(minus)
     assert 0.0 < plus - 1.0 <= 1.0 / alpha
     assert 0.0 < minus - 2.0 <= 2.0 / alpha
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(min_value=0.0, max_value=1e12))
+def test_chi_is_finite_and_falls_to_its_limit(alpha):
+    # 2 sqrt(1 + alpha) e^{-alpha} I_0(alpha) -> sqrt(2/pi) from above, the
+    # Hankel tail of I_0 from alpha = 20 on
+    value, limit = chi(alpha), math.sqrt(2.0 / math.pi)
+    assert math.isfinite(value)
+    assert 0.0 < value - limit <= 2.0 - limit
+    assert alpha * (value - limit) <= 1.0
 
 
 def test_crossover_tabulation_grid():

@@ -224,6 +224,23 @@ def test_duality_product_all_regimes(op, minimum, saddle):
         assert duality_gap(res, minimum) < 1e-12
 
 
+# the eps below 1e-200 at which each case of all_regime_cases() returned a
+# result while every regime still wrote its own capacity prefactor; deriving
+# it from the prefactor must keep them, though (2 pi eps)^(3/2) underflows
+_TINY_EPS_RESULTS = [
+    (), (), (1e-250, 1e-205), (1e-300, 1e-250, 1e-205),
+    (1e-205,), (1e-205,), (1e-205,), (1e-205,), (1e-205,), (),
+]
+
+
+@pytest.mark.parametrize("index", range(len(_TINY_EPS_RESULTS)))
+def test_capacity_prefactor_derivation_keeps_the_float_range(index):
+    _, minimum, saddle = all_regime_cases()[index]
+    for eps in _TINY_EPS_RESULTS[index]:
+        res = closed_rate(minimum, saddle, eps)
+        assert math.isfinite(res.capacity_prefactor) and res.capacity_prefactor > 0.0, eps
+
+
 @pytest.mark.parametrize("op,minimum,saddle", all_regime_cases())
 def test_closed_rate_runs_the_operation_of_the_regime(op, minimum, saddle):
     assert closed_rate(minimum, saddle, 0.05) == op(minimum, saddle, 0.05)
@@ -363,6 +380,24 @@ def test_sombrero_far_regime_is_2m_discrete_gates():
     assert res.prefactor / gates.prefactor == pytest.approx(1.0, rel=1e-3)
 
 
+def test_sombrero_prefactor_is_finite_where_chi_takes_its_hankel_tail():
+    # chi's argument mu2 mu3 / ((2M)^2 8 eps C4) is 1e10 here, where scipy's
+    # ive(0, .) is NaN; theta_minus * chi -> 1 leaves the 2M classical gates
+    minimum = MinimumSpec(value=0.0, eigenvalues=(1.0, 1.0, 1.0))
+    eps, m = 0.01, 3
+    regime = Sombrero(gate_pairs=m, mu2=0.288, mu3=1.0, quartic=1e-11)
+    assert regime.mu2 * regime.mu3 / ((2 * m) ** 2 * 8 * eps * regime.quartic) == pytest.approx(
+        1e10, rel=1e-12
+    )
+    res = sombrero_time(minimum, SaddleSpec(0.5, regime, (), 1.0), eps)
+    assert math.isfinite(res.prefactor) and res.prefactor > 0.0
+    single = ek_classical(
+        minimum, SaddleSpec(0.5, Quadratic(), (regime.mu2, regime.mu3), 1.0), eps
+    )
+    gates = combine_gates(single, 2 * m, arrangement="parallel")
+    assert res.prefactor == pytest.approx(gates.prefactor, rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # crossover bookkeeping
 
@@ -412,7 +447,9 @@ _CROSSOVER_ERROR = {
 # every note written at a window edge, with the full result it rides on
 # (values recorded before the boundary comparison was factored out; the two
 # upper-edge pins re-recorded when psi_plus took e^z K_{1/4}(z) from scipy's
-# kve instead of the I_{+-1/4} connection formula, 2e-15 relative apart)
+# kve instead of the I_{+-1/4} connection formula, 2e-15 relative apart; the
+# capacity fields of five pins re-recorded when the capacity prefactor came to
+# be derived from the prefactor by the duality, at most 7.4e-16 relative apart)
 EDGE_CASES = {
     "transverse-upper": (
         pitchfork_transverse_time,
@@ -421,7 +458,7 @@ EDGE_CASES = {
         RateResult(
             regime_tag="pitchfork-transverse", eps=0.01, barrier=0.75, saddle_value=0.5,
             prefactor=1.4425614143361374, expected_time=5.385430854961433e32,
-            capacity_prefactor=0.003639269655859642, capacity=7.019240795438983e-25,
+            capacity_prefactor=0.0036392696558596423, capacity=7.019240795438984e-25,
             dimension=3, error_order=_CROSSOVER_ERROR["|lambda2|"],
             notes=("at the upper crossover boundary lambda2 = sqrt(eps |log eps|); "
                    "classical-branch prefactor discrepancy 1.493e-01",),
@@ -437,8 +474,8 @@ EDGE_CASES = {
         RateResult(
             regime_tag="pitchfork-transverse-split", eps=0.01, barrier=0.7442435372675149,
             saddle_value=0.4942435372675149, prefactor=0.8384858068814955,
-            expected_time=1.760280420668757e32, capacity_prefactor=0.006261131600346152,
-            capacity=2.1474780673751813e-24, dimension=3,
+            expected_time=1.760280420668757e32, capacity_prefactor=0.006261131600346153,
+            capacity=2.1474780673751817e-24, dimension=3,
             error_order=_CROSSOVER_ERROR["|lambda2|"],
             notes=("at the lower crossover boundary lambda2 = -sqrt(eps |log eps|); "
                    "two-gate classical prefactor discrepancy 3.377e-02",),
@@ -467,8 +504,8 @@ EDGE_CASES = {
         RateResult(
             regime_tag="pitchfork-longitudinal-split", eps=0.01, barrier=0.7557564627324851,
             saddle_value=0.5057564627324851, prefactor=16.209033809537896,
-            expected_time=1.0760768066408533e34, capacity_prefactor=0.00032388543596091997,
-            capacity=3.512912435699179e-26, dimension=3,
+            expected_time=1.0760768066408533e34, capacity_prefactor=0.00032388543596092,
+            capacity=3.5129124356991794e-26, dimension=3,
             error_order=_CROSSOVER_ERROR["|lambda1|"],
             notes=("at the crossover boundary lambda1 = sqrt(eps |log eps|); "
                    "two-gate series prefactor discrepancy 3.377e-02",),
@@ -481,7 +518,7 @@ EDGE_CASES = {
         RateResult(
             regime_tag="doublezero", eps=0.01, barrier=0.75, saddle_value=0.5,
             prefactor=0.3659480207668461, expected_time=1.366172519772263e32,
-            capacity_prefactor=0.0017979975007393213, capacity=3.4678874061904703e-25,
+            capacity_prefactor=0.0017979975007393217, capacity=3.467887406190471e-25,
             dimension=4, error_order=_CROSSOVER_ERROR["|lambda2|"],
             notes=("at the upper crossover boundary lambda2 = sqrt(eps |log eps|); "
                    "classical-branch prefactor discrepancy 2.232e-01",),
@@ -494,7 +531,7 @@ EDGE_CASES = {
         RateResult(
             regime_tag="doublezero-negative", eps=0.01, barrier=0.75, saddle_value=0.5,
             prefactor=0.025264270432148343, expected_time=9.431763539578345e30,
-            capacity_prefactor=0.026043642483419213, capacity=5.023167148032144e-24,
+            capacity_prefactor=0.02604364248341923, capacity=5.0231671480321476e-24,
             dimension=4, error_order=_CROSSOVER_ERROR["|lambda2|"],
             notes=("at the lower validity edge lambda2 = -sqrt(eps |log eps|); the "
                    "sombrero regime adjoins (compare against sombrero_time via "
