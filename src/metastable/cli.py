@@ -8,6 +8,9 @@ produce byte-identical outputs.
 Exit codes: 0 success, 1 usage or specification error (a ``ValueError``
 included), 2 numerical non-convergence or a result outside the float64 range,
 3 invariant violation (capacity ordering, excessive censoring).
+
+``_COMMANDS`` is the one place a command is declared, and each call builds
+only the parser of the command it invokes.
 """
 
 from __future__ import annotations
@@ -424,82 +427,79 @@ def _cmd_tabulate(ns, argv) -> int:
 # ---------------------------------------------------------------------------
 # wiring
 
+# shared flags in help order as (group, flag, keywords); every command takes --out
+_SHARED = (
+    ("potential", "--potential", dict(help="built-in name (chain|rotated2|double_well) or JSON file")),
+    ("potential", "--params", dict(help="comma-separated key=value family parameters")),
+    ("eps", "--eps", dict(help="comma-separated noise intensities")),
+    ("out", "--out", dict(default=".", help="output directory (default: current)")),
+    ("format", "--format", dict(choices=("csv", "json"), default="csv")),
+)
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="metastable", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def common(p: _Parser, potential=True, eps=True, tabular=False) -> None:
-        if potential:
-            p.add_argument("--potential", help="built-in name (chain|rotated2|double_well) or JSON file")
-            p.add_argument("--params", help="comma-separated key=value family parameters")
-        if eps:
-            p.add_argument("--eps", help="comma-separated noise intensities")
-        p.add_argument("--out", default=".", help="output directory (default: current)")
-        if tabular:
-            p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p = sub.add_parser("classify", help="locate and classify stationary points")
-    common(p)
-    p.add_argument("--seeds", help="semicolon-separated start points, e.g. '0,0;1,1'")
-    p.add_argument("--tol", type=float, default=1e-9, help="gradient-norm tolerance")
-
-    p = sub.add_parser("rate", help="closed-form expected transition times")
-    common(p)
-    p.add_argument("--minimum-seed", required=True, help="seed for the starting minimum")
-    p.add_argument("--saddle-seed", required=True, help="seed for the gate saddle")
-
-    p = sub.add_parser("sweep", help="prefactor curves along a control parameter")
-    common(p, potential=False, tabular=True)
-    p.add_argument("--scenario", required=True, choices=sorted(_SWEEPS))
-    p.add_argument("--grid", required=True, help="control values: start:stop:count or comma list")
-    p.add_argument("--quartic", type=float)
-    p.add_argument("--angular", type=float)
-    p.add_argument("--gate-pairs", type=int)
-
-    p = sub.add_parser("verify", help="quadrature capacity bounds vs closed form")
-    common(p)
-    p.add_argument("--saddle-seed", required=True)
-    p.add_argument("--grid-nodes", type=int, default=65, help="initial Simpson nodes per axis")
-    p.add_argument("--box-scale", type=float, default=1.0, help="multiplier on default box widths")
-
-    p = sub.add_parser("simulate", help="Monte Carlo first-hitting times")
-    common(p)
-    p.add_argument("--seed", type=int, default=0, help="64-bit random seed")
-    p.add_argument("--start", required=True)
-    p.add_argument("--target", required=True, help="target ball center")
-    p.add_argument("--radius", type=float, default=None, help="target radius (default 3 sqrt(eps))")
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--max-time", type=float, required=True)
-    p.add_argument("--replicas", type=int, required=True)
-    p.add_argument("--times-csv", action="store_true", help="also write per-replica times.csv")
-    p.add_argument("--saddle-seed", default=None, help="validate against the closed-form rate")
-
-    p = sub.add_parser("tabulate-special", help="crossover-function table")
-    common(p, potential=False, eps=False, tabular=True)
-    p.add_argument("--alphas", default="0:5:51", help="alpha grid: start:stop:count or comma list")
-    p.add_argument("--route", choices=("auto", "closed_form", "quadrature"), default="auto")
-
-    return parser
-
-
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "rate": _cmd_rate,
-    "sweep": _cmd_sweep,
-    "verify": _cmd_verify,
-    "simulate": _cmd_simulate,
-    "tabulate-special": _cmd_tabulate,
+# name -> (handler, help, shared flag groups, own options as (flag, keywords))
+_COMMANDS = {
+    "classify": (_cmd_classify, "locate and classify stationary points", ("potential", "eps"), (
+        ("--seeds", dict(help="semicolon-separated start points, e.g. '0,0;1,1'")),
+        ("--tol", dict(type=float, default=1e-9, help="gradient-norm tolerance")),
+    )),
+    "rate": (_cmd_rate, "closed-form expected transition times", ("potential", "eps"), (
+        ("--minimum-seed", dict(required=True, help="seed for the starting minimum")),
+        ("--saddle-seed", dict(required=True, help="seed for the gate saddle")),
+    )),
+    "sweep": (_cmd_sweep, "prefactor curves along a control parameter", ("eps", "format"), (
+        ("--scenario", dict(required=True, choices=sorted(_SWEEPS))),
+        ("--grid", dict(required=True, help="control values: start:stop:count or comma list")),
+        ("--quartic", dict(type=float)), ("--angular", dict(type=float)), ("--gate-pairs", dict(type=int)),
+    )),
+    "verify": (_cmd_verify, "quadrature capacity bounds vs closed form", ("potential", "eps"), (
+        ("--saddle-seed", dict(required=True)),
+        ("--grid-nodes", dict(type=int, default=65, help="initial Simpson nodes per axis")),
+        ("--box-scale", dict(type=float, default=1.0, help="multiplier on default box widths")),
+    )),
+    "simulate": (_cmd_simulate, "Monte Carlo first-hitting times", ("potential", "eps"), (
+        ("--seed", dict(type=int, default=0, help="64-bit random seed")),
+        ("--start", dict(required=True)),
+        ("--target", dict(required=True, help="target ball center")),
+        ("--radius", dict(type=float, help="target radius (default 3 sqrt(eps))")),
+        ("--dt", dict(type=float)), ("--max-time", dict(type=float, required=True)),
+        ("--replicas", dict(type=int, required=True)),
+        ("--times-csv", dict(action="store_true", help="also write per-replica times.csv")),
+        ("--saddle-seed", dict(help="validate against the closed-form rate")),
+    )),
+    "tabulate-special": (_cmd_tabulate, "crossover-function table", ("format",), (
+        ("--alphas", dict(default="0:5:51", help="alpha grid: start:stop:count or comma list")),
+        ("--route", dict(choices=("auto", "closed_form", "quadrature"), default="auto")),
+    )),
 }
+
+
+def _build_parser(argv: list[str]) -> _Parser:
+    """The parser with the subparser of the command ``argv[0]`` names, or with
+    all of them when it names none (help, version and usage errors)."""
+    # the description is the module docstring up to its paragraph on the wiring
+    parser = _Parser(prog="metastable", description=__doc__.rsplit("\n\n", 1)[0])
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    one = [argv[0]] if argv and argv[0] in _COMMANDS else None
+    # a one-command usage line still lists every command; the full build keeps
+    # argparse's metavar, which its missing-command and invalid-choice errors read
+    metavar = "{" + ",".join(_COMMANDS) + "}" if one else None
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser, metavar=metavar)
+    for name in one or _COMMANDS:
+        _, help_, groups, own = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        for group, flag, kwargs in _SHARED:
+            if group == "out" or group in groups:
+                p.add_argument(flag, **kwargs)
+        for flag, kwargs in own:
+            p.add_argument(flag, **kwargs)
+    return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = _build_parser(argv).parse_args(argv)
     try:
-        return _HANDLERS[ns.command](ns, argv)
+        return _COMMANDS[ns.command][0](ns, argv)
     except (UsageError, ValueError) as exc:
         print(f"metastable {ns.command}: error: {exc}", file=sys.stderr)
         return 1

@@ -176,7 +176,10 @@ def psi_plus(alpha: float) -> float:
     z = alpha * alpha / 16.0
     if z < 1e-100:  # limit value; the O(alpha) correction is below 1e-50
         return _psi_zero()
-    return math.sqrt(alpha * (1.0 + alpha) / (8.0 * math.pi)) * _scaled_k_quarter(z)
+    scale = alpha * (1.0 + alpha) / (8.0 * math.pi)
+    if scale == math.inf:  # alpha^2 overflows: the Hankel form with it cancelled
+        return math.sqrt(1.0 + 1.0 / alpha) * _hankel_sum(z, 0.25)
+    return math.sqrt(scale) * _scaled_k_quarter(z)
 
 
 def psi_minus(alpha: float) -> float:
@@ -185,7 +188,10 @@ def psi_minus(alpha: float) -> float:
     z = alpha * alpha / 64.0
     if z < 1e-100:
         return _psi_zero()
-    return math.sqrt(math.pi * alpha * (1.0 + alpha) / 32.0) * _scaled_i_quarter_pair(z)
+    scale = math.pi * alpha * (1.0 + alpha) / 32.0
+    if scale == math.inf:  # pi alpha^2 overflows: as in psi_plus
+        return 2.0 * math.sqrt(1.0 + 1.0 / alpha) * _hankel_sum(-z, 0.25)
+    return math.sqrt(scale) * _scaled_i_quarter_pair(z)
 
 
 def theta_plus(alpha: float) -> float:

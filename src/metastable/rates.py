@@ -27,6 +27,7 @@ with ``det_min`` the Hessian determinant at the starting minimum, and
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence, Union
 
@@ -397,8 +398,9 @@ def _result(
     # alone leaves the normal float range in 3-D below eps ~ 1e-206
     d = saddle.dimension
     capacity_prefactor = (TWO_PI * eps / (minimum.det ** (1 / d) * prefactor ** (2 / d))) ** (d / 2)
-    if not (math.isfinite(capacity_prefactor) and capacity_prefactor > 0.0):
-        raise ValueError(f"computed a non-positive capacity prefactor {capacity_prefactor!r}")
+    # a zero or subnormal capacity has lost its digits: an underflow
+    if not sys.float_info.min <= capacity_prefactor < math.inf:
+        raise OverflowError(f"the capacity prefactor {capacity_prefactor!r} is outside the normal float64 range")
     barrier = saddle.value - minimum.value
     return RateResult(
         regime_tag=tag,

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line pipeline."""
 
+import argparse
 import csv
 import json
 import math
@@ -8,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from metastable import SWEEP_FIELDS, ek_classical, MinimumSpec, Quadratic, SaddleSpec
-from metastable.cli import main, run_manifest
+from metastable import __version__
+from metastable.cli import _COMMANDS, _build_parser, main, run_manifest
+from metastable.crossover import CROSSOVER_FUNCTIONS
 
 DW1D_TIME_EPS02 = 15.507185174028427
 ROTATED2_TIME_EPS012 = 80.061966657553797
@@ -666,6 +669,14 @@ def test_tabulate_routes_agree(tmp_path):
         assert q[3] == "quadrature"
 
 
+def test_tabulate_special_past_the_overflow_of_alpha_squared(tmp_path):
+    assert run(tmp_path, "tabulate-special", "--alphas", "2e154") == 0
+    values = {row[0]: float(row[2]) for row in read_csv(tmp_path, "special.csv")[1:]}
+    assert sorted(values) == sorted(CROSSOVER_FUNCTIONS)
+    assert all(math.isfinite(v) for v in values.values()), values
+    assert (values["psi_plus"], values["psi_minus"]) == (1.0, 2.0)
+
+
 def test_tabulate_json_format(tmp_path):
     code = run(tmp_path, "tabulate-special", "--alphas", "1.0", "--format", "json")
     assert code == 0
@@ -712,6 +723,107 @@ def test_missing_subcommand_exits_1():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 1
+
+
+# ---------------------------------------------------------------------------
+# parser parity: a call builds its own command's parser, or every parser when
+# argv[0] names no command, and both builds behave alike
+# ---------------------------------------------------------------------------
+
+VALID_ARGV = {
+    "classify": ["classify", "--potential", "double_well", "--seeds", "0;1", "--tol", "1e-8"],
+    "rate": ["rate", "--potential", "double_well", "--minimum-seed=-1", "--saddle-seed=0", "--eps", "0.2"],
+    "sweep": [
+        "sweep", "--scenario", "sombrero", "--grid", "0.5,1", "--eps", "0.1", "--quartic", "0.25",
+        "--gate-pairs", "4", "--format", "json",
+    ],
+    "verify": [
+        "verify", "--potential", "rotated2", "--params", "gamma=0.5", "--saddle-seed", "0,0",
+        "--eps", "0.05", "--grid-nodes", "33", "--box-scale", "1.5",
+    ],
+    "simulate": [
+        "simulate", "--potential", "double_well", "--eps", "0.3", "--seed", "7", "--start=-1",
+        "--target", "1", "--max-time", "50", "--replicas", "10", "--times-csv", "--saddle-seed", "0",
+    ],
+    "tabulate-special": ["tabulate-special", "--alphas", "0,1", "--route", "quadrature"],
+}
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("name", list(_COMMANDS))
+def test_one_command_build_matches_the_full_build(name, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [*VALID_ARGV[name], "--out", "out"]
+    one, full = _build_parser(argv), _build_parser([])
+    assert list(_subparsers(one)) == [name]
+    assert list(_subparsers(full)) == list(_COMMANDS)
+    assert _subparsers(one)[name].format_help() == _subparsers(full)[name].format_help()
+    assert one.parse_args(argv) == full.parse_args(argv)
+
+
+TOP_USAGE = (
+    "usage: metastable [-h] [--version]\n"
+    "                  {classify,rate,sweep,verify,simulate,tabulate-special} ...\n"
+)
+COMMAND_CHOICES = "(choose from 'classify', 'rate', 'sweep', 'verify', 'simulate', 'tabulate-special')"
+RATE_USAGE = (
+    "usage: metastable rate [-h] [--potential POTENTIAL] [--params PARAMS]\n"
+    "                       [--eps EPS] [--out OUT] --minimum-seed MINIMUM_SEED\n"
+    "                       --saddle-seed SADDLE_SEED\n"
+)
+# stderr and exit code of each case, recorded at 80 columns under Python 3.11
+# from the parser that built every command on every call
+MAIN_STREAMS = {
+    "": (1, TOP_USAGE + "metastable: error: the following arguments are required: command\n"),
+    "-h": (0, ""),
+    "--version": (0, ""),
+    "nosuch": (1, TOP_USAGE + f"metastable: error: argument command: invalid choice: 'nosuch' {COMMAND_CHOICES}\n"),
+    "rates": (1, TOP_USAGE + f"metastable: error: argument command: invalid choice: 'rates' {COMMAND_CHOICES}\n"),
+    "rate -h": (0, ""),
+    "simulate --help": (0, ""),
+    "rate --potential double_well --eps 0.2": (
+        1,
+        RATE_USAGE
+        + "metastable rate: error: the following arguments are required: --minimum-seed, --saddle-seed\n",
+    ),
+    " ".join(VALID_ARGV["rate"]) + " --seed 3": (
+        1, TOP_USAGE + "metastable: error: unrecognized arguments: --seed 3\n"
+    ),
+    "sweep --scenario bad --grid 0 --eps 0.1": (
+        1,
+        "usage: metastable sweep [-h] [--eps EPS] [--out OUT] [--format {csv,json}]\n"
+        "                        --scenario\n"
+        "                        {doublezero,longitudinal,sombrero,transverse} --grid\n"
+        "                        GRID [--quartic QUARTIC] [--angular ANGULAR]\n"
+        "                        [--gate-pairs GATE_PAIRS]\n"
+        "metastable sweep: error: argument --scenario: invalid choice: 'bad' "
+        "(choose from 'doublezero', 'longitudinal', 'sombrero', 'transverse')\n",
+    ),
+    "tabulate-special --route x": (
+        1,
+        "usage: metastable tabulate-special [-h] [--out OUT] [--format {csv,json}]\n"
+        "                                   [--alphas ALPHAS]\n"
+        "                                   [--route {auto,closed_form,quadrature}]\n"
+        "metastable tabulate-special: error: argument --route: invalid choice: 'x' "
+        "(choose from 'auto', 'closed_form', 'quadrature')\n",
+    ),
+}
+# stdout of the help cases, recorded with the streams above
+HELP = json.loads((Path(__file__).parent / "golden" / "cli_help.json").read_text())
+
+
+@pytest.mark.parametrize("line", list(MAIN_STREAMS))
+def test_main_keeps_its_usage_streams_and_exit_codes(line, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(line.split())
+    out, err = capsys.readouterr()
+    code, stderr = MAIN_STREAMS[line]
+    assert (exc.value.code, err) == (code, stderr)
+    assert out == (f"metastable {__version__}\n" if line == "--version" else HELP.get(line, ""))
 
 
 def test_seed_is_rejected_outside_simulate(tmp_path):

@@ -1,6 +1,7 @@
 """Crossover interpolation functions: frozen values, routes, limits, shape."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -175,6 +176,14 @@ def test_pitchfork_functions_approach_their_limits_from_above(alpha):
     assert math.isfinite(plus) and math.isfinite(minus)
     assert 0.0 < plus - 1.0 <= 1.0 / alpha
     assert 0.0 < minus - 2.0 <= 2.0 / alpha
+
+
+@pytest.mark.parametrize("alpha", [1e154, 2e154, 1e300, sys.float_info.max])
+def test_pitchfork_functions_reach_their_limits_where_alpha_squared_overflows(alpha):
+    # pi alpha^2 overflows from alpha ~ 7.6e153 and alpha^2 from ~ 1.34e154;
+    # below that the values keep their bits, here they are the limits
+    assert psi_plus(alpha) == pytest.approx(1.0, rel=2**-52, abs=0.0)
+    assert psi_minus(alpha) == pytest.approx(2.0, rel=2**-52, abs=0.0)
 
 
 @settings(max_examples=60, deadline=None)

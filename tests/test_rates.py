@@ -1,6 +1,7 @@
 """Tests for the closed-form expected-time/capacity laws and their crossovers."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -226,11 +227,15 @@ def test_duality_product_all_regimes(op, minimum, saddle):
 
 # the eps below 1e-200 at which each case of all_regime_cases() returned a
 # result while every regime still wrote its own capacity prefactor; deriving
-# it from the prefactor must keep them, though (2 pi eps)^(3/2) underflows
+# it from the prefactor must keep them, though (2 pi eps)^(3/2) underflows.
+# Three of those results were subnormal (6.8e-313, 8.0e-309 and 4.0e-309),
+# as is flat-unstable's 5e-323 at eps 1e-176, one significant bit: an
+# underflow, listed apart in _TINY_EPS_SUBNORMAL
 _TINY_EPS_RESULTS = [
-    (), (), (1e-250, 1e-205), (1e-300, 1e-250, 1e-205),
-    (1e-205,), (1e-205,), (1e-205,), (1e-205,), (1e-205,), (),
+    (), (), (1e-205,), (1e-300, 1e-250, 1e-205),
+    (1e-205,), (1e-205,), (), (), (1e-205,), (),
 ]
+_TINY_EPS_SUBNORMAL = [(), (1e-176,), (1e-250,), (), (), (), (1e-205,), (1e-205,), (), ()]
 
 
 @pytest.mark.parametrize("index", range(len(_TINY_EPS_RESULTS)))
@@ -238,7 +243,10 @@ def test_capacity_prefactor_derivation_keeps_the_float_range(index):
     _, minimum, saddle = all_regime_cases()[index]
     for eps in _TINY_EPS_RESULTS[index]:
         res = closed_rate(minimum, saddle, eps)
-        assert math.isfinite(res.capacity_prefactor) and res.capacity_prefactor > 0.0, eps
+        assert sys.float_info.min <= res.capacity_prefactor < math.inf, eps
+    for eps in _TINY_EPS_SUBNORMAL[index]:
+        with pytest.raises(OverflowError, match="normal float64 range"):
+            closed_rate(minimum, saddle, eps)
 
 
 @pytest.mark.parametrize("op,minimum,saddle", all_regime_cases())
