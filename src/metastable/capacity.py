@@ -25,10 +25,13 @@ saddle and box the potential on those grids is the same for both.  Passing one
 from the dict and adds the ones it is first to reach, so a ``verify`` row
 evaluates every level once.  A dict belongs to one (model, saddle, box); the
 caller drops it with the row.  The grid that checks the box conditions is
-evaluated inside each call.  A grid is evaluated in slabs of at most
-``potentials._SLAB_ROWS`` points, so evaluating it takes the memory of the grid
-plus one slab; with one BLAS thread its values are bit for bit those of one
-call over the whole grid.
+evaluated inside each call.  A grid is evaluated, and each bound's integrand
+computed and contracted, in slabs of at most ``potentials._SLAB_ROWS`` points
+(``potentials._slab_length``): the upper bound's along axis 0, the lower
+bound's along axis 1.  Evaluating a level, or a bound on it, so takes the
+memory of the grid plus one slab, never a second grid-sized array; with one
+BLAS thread the grid values and the bounds are bit for bit those of one call
+over the whole grid.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .landscape import StationaryPoint, codim1_coefficients, codim2_form
-from .potentials import PotentialModel, _grid_values
+from .potentials import PotentialModel, _grid_values, _slab_length
 
 __all__ = [
     "BoxSpec",
@@ -363,7 +366,7 @@ def _refine(
     point: StationaryPoint,
     box: BoxSpec,
     grid: int,
-    evaluate: Callable[[np.ndarray, list[np.ndarray]], float],
+    evaluate: Callable[[np.ndarray, list[np.ndarray], float], float],
     levels: dict[int, tuple[np.ndarray, list[np.ndarray]]],
 ) -> tuple[float, tuple[int, ...], float]:
     d = model.dim
@@ -380,11 +383,11 @@ def _refine(
             levels[n] = _tensor_w(model, point, widths, [n] * d)
         return levels[n]
 
-    value = evaluate(*level(n))
+    value = evaluate(*level(n), box.eps)
     rel = math.inf
     while n < cap:
         n = 2 * n - 1
-        new = evaluate(*level(n))
+        new = evaluate(*level(n), box.eps)
         rel = abs(new - value) / max(abs(new), 1e-300)
         value = new
         if rel < _REL_TOL:
@@ -400,7 +403,7 @@ def _bound(
     levels: dict | None,
     method: str,
     notes: tuple[str, ...],
-    evaluate: Callable[[np.ndarray, list[np.ndarray]], float],
+    evaluate: Callable[[np.ndarray, list[np.ndarray], float], float],
 ) -> CapacityEstimate:
     """Refine ``evaluate`` on the ladder, check the box on a grid of at most
     65 nodes per axis, and scale by ``exp(-V(z)/eps)``."""
@@ -423,6 +426,55 @@ def _bound(
     )
 
 
+def _dirichlet_energy(w: np.ndarray, axes: list[np.ndarray], eps: float) -> float:
+    """``eps`` times the Simpson integral of ``exp(-w/eps) f'(y1)**2``: the upper
+    bound without its ``exp(-V(z)/eps)`` factor."""
+    weights = [_simpson_weights(len(a), a[1] - a[0]) for a in axes]
+    center = tuple([slice(None)] + [len(a) // 2 for a in axes[1:]])
+    g = np.exp(w[center] / eps)
+    f_norm = float(weights[0] @ g)
+    fprime_sq = (g / f_norm).reshape((-1,) + (1,) * (w.ndim - 1)) ** 2
+    # exp(-w/eps) f'^2 in slabs along axis 0, each contracted over the rest
+    step = _slab_length(w[0].size)
+    slab = np.empty((min(step, len(w)),) + w.shape[1:])
+    sections = np.empty(len(w))
+    for start in range(0, len(w), step):
+        stop = min(start + step, len(w))
+        part = slab[: stop - start]
+        np.negative(w[start:stop], out=part)
+        part /= eps
+        np.exp(part, out=part)
+        part *= fprime_sq[start:stop]
+        for wt in reversed(weights[1:]):
+            part = part @ wt
+        sections[start:stop] = part
+    return eps * float(sections @ weights[0])
+
+
+def _fiber_capacities(w: np.ndarray, axes: list[np.ndarray], eps: float) -> float:
+    """``eps`` times the Simpson integral over the transverse section of the
+    inverse fiber integrals of ``exp(w/eps)``: the lower bound without its
+    ``exp(-V(z)/eps)`` factor."""
+    weights = [_simpson_weights(len(a), a[1] - a[0]) for a in axes]
+    if w.ndim == 1:
+        return eps * float(1.0 / np.tensordot(np.exp(w / eps), weights[0], axes=(0, 0)))
+    # fiber integrals of exp(w/eps) in slabs along axis 1
+    n1 = w.shape[1]
+    step = _slab_length(w.size // n1)
+    slab = np.empty((len(w), min(step, n1)) + w.shape[2:])
+    inner = np.empty(w.shape[1:])
+    for start in range(0, n1, step):
+        stop = min(start + step, n1)
+        part = slab[:, : stop - start]
+        np.divide(w[:, start:stop], eps, out=part)
+        np.exp(part, out=part)
+        inner[start:stop] = np.tensordot(part, weights[0], axes=(0, 0))
+    integrand = 1.0 / inner
+    for wt in reversed(weights[1:]):
+        integrand = integrand @ wt
+    return eps * float(integrand)
+
+
 def dirichlet_upper_bound(
     model: PotentialModel,
     saddle: StationaryPoint,
@@ -443,22 +495,8 @@ def dirichlet_upper_bound(
     the tensor grids with other bounds on the same saddle and box (see the
     module docstring).
     """
-    eps = box.eps
-
-    def evaluate(w: np.ndarray, axes: list[np.ndarray]) -> float:
-        weights = [_simpson_weights(len(a), a[1] - a[0]) for a in axes]
-        center = tuple([slice(None)] + [len(a) // 2 for a in axes[1:]])
-        g = np.exp(w[center] / eps)
-        f_norm = float(weights[0] @ g)
-        integrand = np.exp(-w / eps) * (g / f_norm).reshape(
-            (-1,) + (1,) * (w.ndim - 1)
-        ) ** 2
-        for wt in reversed(weights):
-            integrand = integrand @ wt
-        return eps * float(integrand)
-
     notes = ("outside-box contribution dropped (exponentially negligible)",)
-    return _bound(model, saddle, box, grid, levels, "dirichlet_upper", notes, evaluate)
+    return _bound(model, saddle, box, grid, levels, "dirichlet_upper", notes, _dirichlet_energy)
 
 
 def fiber_lower_bound(
@@ -477,27 +515,15 @@ def fiber_lower_bound(
     bound.  By the Cauchy-Schwarz inequality the fiber integrand never exceeds
     the trial-function integrand of :func:`dirichlet_upper_bound`, so on a
     shared box and grid the ordering ``lower <= upper`` holds exactly.  Fibers
-    are evaluated as one vectorized map in a fixed order, so results are
-    deterministic.  ``levels`` is as in :func:`dirichlet_upper_bound`.
+    are evaluated in slabs of a fixed order, so results are deterministic.
+    ``levels`` is as in :func:`dirichlet_upper_bound`.
     """
-    eps = box.eps
-
-    def evaluate(w: np.ndarray, axes: list[np.ndarray]) -> float:
-        weights = [_simpson_weights(len(a), a[1] - a[0]) for a in axes]
-        inner = np.tensordot(np.exp(w / eps), weights[0], axes=(0, 0))
-        integrand = 1.0 / inner
-        if w.ndim == 1:
-            return eps * float(integrand)
-        for wt in reversed(weights[1:]):
-            integrand = integrand @ wt
-        return eps * float(integrand)
-
     notes = (
         "outside-box contribution dropped (exponentially negligible)",
         "boundary values fixed at 1 and 0; the O(sqrt(eps)) equilibrium-potential "
         "correction is folded into comparison tolerances",
     )
-    return _bound(model, saddle, box, grid, levels, "fiber_lower", notes, evaluate)
+    return _bound(model, saddle, box, grid, levels, "fiber_lower", notes, _fiber_capacities)
 
 
 def capacity_1d_exact(

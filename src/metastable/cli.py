@@ -476,8 +476,10 @@ _COMMANDS = {
 def _build_parser(argv: list[str]) -> _Parser:
     """The parser with the subparser of the command ``argv[0]`` names, or with
     all of them when it names none (help, version and usage errors)."""
-    # the description is the module docstring up to its paragraph on the wiring
-    parser = _Parser(prog="metastable", description=__doc__.rsplit("\n\n", 1)[0])
+    # the description is the module docstring up to its paragraph on the
+    # wiring, as plain text: without reStructuredText's literal markup
+    description = __doc__.rsplit("\n\n", 1)[0].replace("``", "")
+    parser = _Parser(prog="metastable", description=description)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     one = [argv[0]] if argv and argv[0] in _COMMANDS else None
     # a one-command usage line still lists every command; the full build keeps

@@ -383,18 +383,29 @@ class ChainPotential(PotentialModel):
 _SLAB_ROWS = 2**15
 
 
+def _slab_length(size: int) -> int:
+    """Indices per slab along an axis whose every index holds ``size`` points.
+
+    A multiple of 16, and at most ``_SLAB_ROWS`` points unless 16 indices
+    already exceed it.  When every index holds the same whole number of rows
+    of a matrix product, a slab then starts on a multiple of 16 rows, and a
+    BLAS kernel that treats the last ``rows mod block`` rows of a call apart
+    meets the same row blocks as in one call over the whole grid.
+    """
+    return 16 * max(1, _SLAB_ROWS // (16 * size))
+
+
 def _grid_values(model: PotentialModel, axes, frame=None) -> np.ndarray:
     """V on the tensor grid of the 1-D ``axes``, shape ``(len(a) for a in axes)``.
 
     A node ``y`` is the point ``location + Q y`` for ``frame = (location, Q)``,
     else ``y`` itself.  The grid is evaluated in slabs of at most
     ``_SLAB_ROWS`` points, so memory is the grid plus one slab.  A slab is a
-    run of whole lines along the last axis, in C order, and holds a multiple
-    of 16 lines, hence of 16 points: a BLAS kernel that treats the last
-    ``rows mod block`` rows of a call apart (the polynomial kernel's
-    ``coeffs @ terms``) then meets the same blocks as in one ``value_many``
-    call over the whole grid, and with one BLAS thread the values are bit for
-    bit those of that call.
+    run of whole lines along the last axis, in C order, as many as
+    :func:`_slab_length` gives: the polynomial kernel's ``coeffs @ terms``
+    then meets the same row blocks as in one ``value_many`` call over the
+    whole grid, and with one BLAS thread the values are bit for bit those of
+    that call.
     """
     shape = tuple(len(a) for a in axes)
     d, n_last = len(shape), shape[-1]
@@ -404,7 +415,7 @@ def _grid_values(model: PotentialModel, axes, frame=None) -> np.ndarray:
         lines[k] = m.ravel()
     V = np.empty(shape)
     rows = V.reshape(-1, n_last)
-    step = 16 * max(1, _SLAB_ROWS // (16 * n_last))
+    step = _slab_length(n_last)
     for start in range(0, len(rows), step):
         count = min(step, len(rows) - start)
         # points as columns, so each coordinate is one contiguous row

@@ -30,8 +30,8 @@ from metastable import (
     reduced_capacity,
     rotated_two_particle,
 )
-from metastable.capacity import _tensor_w
-from metastable.potentials import _SLAB_ROWS
+from metastable.capacity import _dirichlet_energy, _fiber_capacities, _simpson_weights, _tensor_w
+from metastable.potentials import _SLAB_ROWS, _slab_length
 from metastable.cli import main
 
 UNIT_MIN = MinimumSpec(value=0.0, hessian_det=1.0)
@@ -327,6 +327,95 @@ def test_streamed_grid_peak_memory_is_the_grid_plus_one_slab(name, n, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * w.nbytes
+
+
+def _one_shot_upper(w, axes, eps):
+    # the upper bound's integrand over the whole grid in one expression
+    weights = [_simpson_weights(len(a), a[1] - a[0]) for a in axes]
+    center = tuple([slice(None)] + [len(a) // 2 for a in axes[1:]])
+    g = np.exp(w[center] / eps)
+    f_norm = float(weights[0] @ g)
+    integrand = np.exp(-w / eps) * (g / f_norm).reshape((-1,) + (1,) * (w.ndim - 1)) ** 2
+    for wt in reversed(weights):
+        integrand = integrand @ wt
+    return eps * float(integrand)
+
+
+def _one_shot_lower(w, axes, eps):
+    # the lower bound's fiber integrals over the whole grid in one expression
+    weights = [_simpson_weights(len(a), a[1] - a[0]) for a in axes]
+    integrand = 1.0 / np.tensordot(np.exp(w / eps), weights[0], axes=(0, 0))
+    for wt in reversed(weights[1:]):
+        integrand = integrand @ wt
+    return eps * float(integrand)
+
+
+# at the smaller eps some fibers of poly3 overflow and contribute 1/inf = 0
+BOUND_EPS = (0.05, 0.0005)
+
+
+def _streamed_bound_mismatches() -> dict[str, list[str]]:
+    """Per grid, the bounds and eps at which the slab-streamed integrals differ
+    from the one-shot expressions."""
+    out = {}
+    for name, (build, at, n) in STREAMED_GRIDS.items():
+        model = build()
+        point = StationaryPoint.at(model, np.array(at))
+        w, axes = _tensor_w(model, point, [0.9, 0.6, 0.4][: model.dim], [n] * model.dim)
+        # both bounds take several slabs, the last one partial
+        assert _slab_length(w[0].size) < n and _slab_length(w.size // n) < n
+        assert n % 16 != 0
+        out[name] = [
+            f"{label} eps={eps}"
+            for eps in BOUND_EPS
+            for label, streamed, one_shot in (
+                ("upper", _dirichlet_energy, _one_shot_upper),
+                ("lower", _fiber_capacities, _one_shot_lower),
+            )
+            if not streamed(w, axes, eps) == one_shot(w, axes, eps)
+        ]
+    return out
+
+
+@pytest.fixture(scope="module")
+def streamed_bound_mismatches(fresh_interpreter):
+    # one BLAS thread, for the reason given at streamed_mismatches
+    return fresh_interpreter(
+        "import json, warnings, test_capacity; warnings.simplefilter('ignore'); "
+        "print(json.dumps(test_capacity._streamed_bound_mismatches()))"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(STREAMED_GRIDS))
+def test_streamed_bounds_equal_the_one_shot_expressions(streamed_bound_mismatches, name):
+    assert streamed_bound_mismatches[name] == []
+
+
+@pytest.mark.parametrize(
+    "build, eps, n",
+    [
+        (lambda: chain_potential(3, 1.0), 0.06, 129),
+        (lambda: rotated_two_particle(0.5005), 0.03, 1025),
+    ],
+    ids=["chain3", "rotated2"],
+)
+def test_bounds_on_stored_levels_need_no_second_grid(build, eps, n):
+    model = build()
+    pt = StationaryPoint.at(model, np.zeros(model.dim))
+    box = default_box(model, pt, eps)
+    levels = {}
+    dirichlet_upper_bound(model, pt, box, levels=levels)
+    fiber_lower_bound(model, pt, box, levels=levels)
+    assert max(levels) == n
+    largest = levels[n][0].nbytes
+    for bound in (dirichlet_upper_bound, fiber_lower_bound):
+        tracemalloc.start()
+        try:
+            bound(model, pt, box, levels=levels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * largest, bound.__name__
 
 
 def test_tensor_bounds_reject_dimension_above_three():
