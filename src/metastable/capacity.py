@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .landscape import StationaryPoint, codim1_coefficients, codim2_form
 from .potentials import PotentialModel, _grid_values, _slab_length
@@ -210,6 +209,10 @@ def default_box(
 def _checked_quad(
     f: Callable[[float], float], a: float, b: float, what: str, points=None
 ) -> float:
+    # imported here: scipy.integrate costs about 0.25 s of start-up, and
+    # only the reduced formula and the 1-d capacity integrate
+    from scipy.integrate import quad
+
     value, err = quad(f, a, b, points=points, **_QUAD_OPTS)
     tol = max(1e-12, 1e-8 * abs(value))
     if err > tol:

@@ -12,18 +12,19 @@ Each function has two genuinely independent evaluation routes: a closed
 form in terms of Bessel/erf-type special functions, and direct adaptive
 quadrature of the defining integral.  The public functions are the closed
 forms, valid for every ``alpha >= 0``; the scaled Bessel functions switch to
-their Hankel expansions from the argument z = 20 on.  The route is chosen in
-one place, :func:`evaluate` (``route="auto"`` is the closed form), and the
-quadrature route is the independent check on it.
+their Hankel expansions from the argument z = 20 on.  scipy.special and
+scipy.integrate are imported on first use: each costs a quarter of a second
+or more of start-up, which commands that evaluate no crossover function
+should not pay.  The route is chosen in one place, :func:`evaluate`
+(``route="auto"`` is the closed form), and the quadrature route is the
+independent check on it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-
-from scipy import integrate, special
+from functools import cache, partial
 
 __all__ = [
     "CrossoverEval",
@@ -71,10 +72,19 @@ def _hankel_sum(z: float, nu: float) -> float:
     return total
 
 
+@cache
+def _special():
+    # a statement `from scipy.special import f` in each function would cost
+    # 0.3 us per call, a third of a closed form; the cached module, 40 ns
+    from scipy import special
+
+    return special
+
+
 def _scaled_k_quarter(z: float) -> float:
     # e^z K_{1/4}(z) for z > 0
     if z < _HANKEL_MIN:
-        return float(special.kve(0.25, z))
+        return float(_special().kve(0.25, z))
     return math.sqrt(math.pi / (2.0 * z)) * _hankel_sum(z, 0.25)
 
 
@@ -83,19 +93,26 @@ def _scaled_i_quarter_pair(z: float) -> float:
     # (sqrt(2)/pi) K_{1/4}, e^{-2z} relative to the pair, so from _HANKEL_MIN
     # on the pair is twice the Hankel form of I_{1/4}
     if z < _HANKEL_MIN:
-        return float(special.ive(-0.25, z) + special.ive(0.25, z))
+        ive = _special().ive
+        return float(ive(-0.25, z) + ive(0.25, z))
     return 2.0 / math.sqrt(2.0 * math.pi * z) * _hankel_sum(-z, 0.25)
 
 
 def _scaled_i_zero(z: float) -> float:
     # e^{-z} I_0(z) for z >= 0; scipy's ive(0, z) is NaN from z ~ 5e9 on
     if z < _HANKEL_MIN:
-        return float(special.ive(0.0, z))
+        return float(_special().ive(0.0, z))
     return _hankel_sum(-z, 0.0) / math.sqrt(2.0 * math.pi) / math.sqrt(z)
 
 
 # ---------------------------------------------------------------------------
 # quadrature routes (defining integrals, independent of the closed forms)
+
+
+def _quad(f, a: float, b: float, points=None) -> float:
+    from scipy.integrate import quad
+
+    return quad(f, a, b, points=points, **_QUAD_OPTS)[0]
 
 
 def _quartic_cut(alpha: float) -> float:
@@ -107,9 +124,7 @@ def _quartic_cut(alpha: float) -> float:
 
 def _psi_plus_quadrature(alpha: float) -> float:
     ymax = _quartic_cut(alpha)
-    val, _ = integrate.quad(
-        lambda y: math.exp(-0.5 * (y**4 + alpha * y * y)), 0.0, ymax, **_QUAD_OPTS
-    )
+    val = _quad(lambda y: math.exp(-0.5 * (y**4 + alpha * y * y)), 0.0, ymax)
     return math.sqrt((1.0 + alpha) / (2.0 * math.pi)) * 2.0 * val
 
 
@@ -117,17 +132,13 @@ def _psi_minus_quadrature(alpha: float) -> float:
     c = alpha / 4.0
     ymax = 1.1 * math.sqrt(c + math.sqrt(2.0 * _LOG_TRUNC) + 1.0) + 0.5
     pts = [math.sqrt(c)] if c > 0 else None
-    val, _ = integrate.quad(
-        lambda y: math.exp(-0.5 * (y * y - c) ** 2), 0.0, ymax, points=pts, **_QUAD_OPTS
-    )
+    val = _quad(lambda y: math.exp(-0.5 * (y * y - c) ** 2), 0.0, ymax, points=pts)
     return math.sqrt((1.0 + alpha) / (2.0 * math.pi)) * 2.0 * val
 
 
 def _theta_plus_quadrature(alpha: float) -> float:
     ymax = _quartic_cut(alpha)
-    val, _ = integrate.quad(
-        lambda y: y * math.exp(-0.5 * (y**4 + alpha * y * y)), 0.0, ymax, **_QUAD_OPTS
-    )
+    val = _quad(lambda y: y * math.exp(-0.5 * (y**4 + alpha * y * y)), 0.0, ymax)
     return (1.0 + alpha) * val
 
 
@@ -135,20 +146,11 @@ def _theta_minus_quadrature(alpha: float) -> float:
     c = alpha / 2.0
     ymax = 1.1 * math.sqrt(c + math.sqrt(2.0 * _LOG_TRUNC) + 1.0) + 0.5
     pts = [math.sqrt(c)] if c > 0 else None
-    val, _ = integrate.quad(
-        lambda y: y * math.exp(-0.5 * (y * y - c) ** 2), 0.0, ymax, points=pts, **_QUAD_OPTS
-    )
-    return val
+    return _quad(lambda y: y * math.exp(-0.5 * (y * y - c) ** 2), 0.0, ymax, points=pts)
 
 
 def _chi_quadrature(alpha: float) -> float:
-    val, _ = integrate.quad(
-        lambda p: math.exp(-alpha * (1.0 - math.cos(p))),
-        0.0,
-        2.0 * math.pi,
-        points=[math.pi],
-        **_QUAD_OPTS,
-    )
+    val = _quad(lambda p: math.exp(-alpha * (1.0 - math.cos(p))), 0.0, 2.0 * math.pi, [math.pi])
     return math.sqrt(1.0 + alpha) / math.pi * val
 
 
@@ -167,7 +169,7 @@ def _check_alpha(alpha: float) -> float:
 
 
 def _psi_zero() -> float:
-    return float(special.gamma(0.25)) / (2.0**1.25 * math.sqrt(math.pi))
+    return float(_special().gamma(0.25)) / (2.0**1.25 * math.sqrt(math.pi))
 
 
 def psi_plus(alpha: float) -> float:
@@ -202,14 +204,14 @@ def theta_plus(alpha: float) -> float:
         math.sqrt(math.pi / 2.0)
         * (1.0 + alpha)
         * 0.5
-        * float(special.erfcx(alpha / (2.0 * math.sqrt(2.0))))
+        * float(_special().erfcx(alpha / (2.0 * math.sqrt(2.0))))
     )
 
 
 def theta_minus(alpha: float) -> float:
     """Crossover function for a double-zero gate, split side."""
     alpha = _check_alpha(alpha)
-    return math.sqrt(math.pi / 2.0) * float(special.ndtr(alpha / 2.0))
+    return math.sqrt(math.pi / 2.0) * float(_special().ndtr(alpha / 2.0))
 
 
 def chi(alpha: float) -> float:

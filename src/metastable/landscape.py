@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy import ndimage, optimize
 
 from .potentials import PotentialModel, _grid_values
 from .rates import Codim2, PitchforkLongitudinal, PitchforkTransverse, Quadratic, SaddleSpec
@@ -148,9 +147,13 @@ def find_stationary_points(
 ) -> list[StationaryPoint]:
     """Newton-refine each seed to a zero of the gradient; merge duplicates.
 
-    Seeds that fail to converge are logged and skipped, never fatal.  Points
-    closer than ``10 * tol`` are merged.  Results are sorted by potential
-    value, then lexicographically by location.
+    The iteration uses the model's exact Hessian and stops once a step is no
+    longer than ``1e-3 * tol * (1 + |x|)``.  At a degenerate zero (a soft
+    direction) Newton converges only linearly, so there the point is found
+    only to a few times that step length, not to rounding.  A refined seed is
+    kept only if ``|grad V| <= tol`` there; seeds that fail are logged and
+    skipped, never fatal.  Points closer than ``10 * tol`` are merged.
+    Results are sorted by potential value, then lexicographically by location.
     """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
@@ -159,16 +162,14 @@ def find_stationary_points(
         seed = np.asarray(seed, dtype=float)
         if not np.all(np.isfinite(seed)):
             raise ValueError(f"seed {k} is not finite: {seed}")
-        sol = optimize.root(
-            model.gradient, seed, jac=model.hessian, method="hybr", tol=tol * 1e-3
-        )
-        x = np.asarray(sol.x, dtype=float)
-        if not np.all(np.isfinite(x)) or np.linalg.norm(model.gradient(x)) > tol:
+        x = _newton_zero(model.gradient, model.hessian, seed, tol * 1e-3)
+        gnorm = float(np.linalg.norm(model.gradient(x)))
+        if not np.all(np.isfinite(x)) or not gnorm <= tol:
             logger.warning(
-                "seed %d at %s did not converge to a stationary point (%s)",
+                "seed %d at %s did not converge to a stationary point (|grad V| = %.3g)",
                 k,
                 np.array2string(seed, precision=4),
-                sol.message.strip() if isinstance(sol.message, str) else sol.message,
+                gnorm,
             )
             continue
         if not any(np.linalg.norm(x - y) <= 10 * tol for y in found):
@@ -176,6 +177,44 @@ def find_stationary_points(
     pts = [StationaryPoint.at(model, x, zero_tol) for x in found]
     pts.sort(key=lambda p: (p.value, tuple(np.round(p.location, 12))))
     return pts
+
+
+# Newton steps per seed at most, and the smallest fraction of a step tried
+# before the iteration gives up on a seed
+_NEWTON_MAX_STEPS = 200
+_NEWTON_MIN_DAMPING = 2.0**-20
+
+
+def _newton_zero(gradient, hessian, x: np.ndarray, xtol: float) -> np.ndarray:
+    """Damped Newton iteration from ``x`` toward a zero of ``gradient``.
+
+    Each step solves ``hessian(x) s = -gradient(x)`` (by least squares where
+    the Hessian is singular) and is halved while it makes ``|gradient|`` grow.
+    The iteration ends with the first step no longer than ``xtol * (1 + |x|)``
+    and returns its last iterate whether or not that is a zero.
+    """
+    g = gradient(x)
+    gnorm = np.linalg.norm(g)
+    for _ in range(_NEWTON_MAX_STEPS):
+        H = hessian(x)
+        try:
+            step = np.linalg.solve(H, -g)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(H, -g, rcond=None)[0]
+        if np.linalg.norm(step) <= xtol * (1.0 + np.linalg.norm(x)):
+            return x + step
+        t = 1.0
+        while True:
+            x_new = x + t * step
+            g_new = gradient(x_new)
+            gnorm_new = np.linalg.norm(g_new)
+            if gnorm_new <= gnorm:
+                break
+            t *= 0.5
+            if t < _NEWTON_MIN_DAMPING:
+                return x
+        x, g, gnorm = x_new, g_new, gnorm_new
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +373,12 @@ def _codim2_analysis(model: PotentialModel, point: StationaryPoint) -> NormalFor
     quartic_scale = max(abs(v) for v in quart.values())
     tensor_scale = max(1.0, float(np.max(np.abs(T3))), float(np.max(np.abs(T4))))
     coeff_tol = 1e-9 * tensor_scale
+    # near a codim-2 zero the gradient vanishes to rounding on a ball of radius
+    # about sqrt(machine eps), so the point is known only to that radius, and
+    # there the quartic tensor adds cubic coefficients of that relative size
+    cubic_tol = math.sqrt(np.finfo(float).eps) * tensor_scale
 
-    if cubic_scale > coeff_tol:
+    if cubic_scale > cubic_tol:
         p = 3
         coeffs = [cub["V222"], cub["V223"], cub["V233"], cub["V333"]]
     else:
@@ -408,9 +451,13 @@ def _angular_extrema(quart: dict[str, float]) -> tuple[float, float]:
     vals = k_of(grid)
     h = grid[1] - grid[0]
 
+    # imported here: scipy.optimize costs about 0.3 s of start-up, and only
+    # the codim-2 quartic analysis uses it
+    from scipy.optimize import minimize_scalar
+
     def refine(i, sign):
         lo, hi = grid[i] - h, grid[i] + h
-        res = optimize.minimize_scalar(
+        res = minimize_scalar(
             lambda p: sign * k_of(p), bounds=(lo, hi), method="bounded",
             options={"xatol": 1e-12},
         )
@@ -541,12 +588,14 @@ def _probe_soft_direction(model, point, i0, max_order: int = 8):
             vals[idx] = model.value(z + s * v)
             continue
 
-        def g(yy, s=s):
-            return P.T @ model.gradient(z + s * v + P @ yy)
-
-        sol = optimize.root(g, y, method="hybr", tol=1e-13)
-        y = np.asarray(sol.x)
-        vals[idx] = model.value(z + s * v + P @ y)
+        base = z + s * v
+        y = _newton_zero(
+            lambda yy: P.T @ model.gradient(base + P @ yy),
+            lambda yy: P.T @ model.hessian(base + P @ yy) @ P,
+            y,
+            1e-13,
+        )
+        vals[idx] = model.value(base + P @ y)
         if abs(s) <= 1e-15:
             y = np.zeros(d - 1)
     vals = vals - float(model.value(z))
@@ -839,6 +888,8 @@ def communication_height_2d(model: PotentialModel, a, b, grid) -> GateResult:
     ca, cb = comp[la], comp[lb]
     gate_cells = []
     if ca > 0 and cb > 0:
+        from scipy import ndimage  # imported here, as in _label8
+
         lo = (max(corner[0] - 1, 0), max(corner[1] - 1, 0))
         hi = (min(box[0].stop + 1, g.nx), min(box[1].stop + 1, g.ny))
         grown = (slice(lo[0], hi[0]), slice(lo[1], hi[1]))
@@ -869,6 +920,10 @@ def communication_height_2d(model: PotentialModel, a, b, grid) -> GateResult:
 
 
 def _label8(mask: np.ndarray) -> np.ndarray:
+    # imported here: ndimage adds about 40 ms to every start-up, and only the
+    # gate search uses it
+    from scipy import ndimage
+
     return ndimage.label(mask, structure=_BLOCK_8)[0]
 
 

@@ -31,8 +31,6 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence, Union
 
-from scipy.integrate import quad
-
 from .crossover import chi, psi_minus, psi_plus, theta_minus, theta_plus
 
 __all__ = [
@@ -472,6 +470,10 @@ def _angular_mean(angular: AngularProfile, func: Callable[[float], float]) -> fl
         if k <= 0.0:
             raise ValueError("angular profile must be strictly positive")
         return func(k)
+
+    # imported here: scipy.integrate costs about 0.25 s of start-up, and only
+    # a callable profile integrates
+    from scipy.integrate import quad
 
     def integrand(phi: float) -> float:
         k = float(angular(phi))

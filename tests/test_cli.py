@@ -916,9 +916,35 @@ def test_output_bytes_match_the_golden_file(tmp_path, golden):
     assert produced.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
-def test_importing_the_cli_leaves_csgraph_unloaded(fresh_interpreter):
-    # every command pays the start-up; only the gate search needs csgraph,
-    # and it imports it inside the witness search
+# scipy submodules each cost from 5 ms to a third of a second of start-up;
+# every one is imported where it is called, so a command pays only for its own
+SCIPY_SUBMODULES = [
+    "scipy.sparse.csgraph", "scipy.optimize", "scipy.integrate", "scipy.special", "scipy.ndimage",
+]
+
+
+@pytest.mark.parametrize("module", SCIPY_SUBMODULES)
+def test_importing_the_cli_leaves_scipy_unloaded(fresh_interpreter, module):
     assert fresh_interpreter(
-        "import json, sys, metastable.cli; print(json.dumps('scipy.sparse.csgraph' in sys.modules))"
+        f"import json, sys, metastable.cli; print(json.dumps({module!r} in sys.modules))"
     ) is False
+
+
+def test_classical_rate_and_simulate_load_no_scipy_submodule(fresh_interpreter, tmp_path):
+    # a nondegenerate saddle needs no crossover function, and Newton's method
+    # on the exact Hessian refines the seeds
+    code = f"""
+import json, sys
+from metastable.cli import main
+codes = [
+    main(["rate", "--potential", "double_well", "--minimum-seed=-1", "--saddle-seed=0",
+          "--eps", "0.2", "--out", {str(tmp_path / "rate")!r}]),
+    main(["simulate", "--potential", "double_well", "--eps", "0.3", "--start=-1", "--target", "1",
+          "--radius", "0.2", "--saddle-seed", "0", "--max-time", "300", "--replicas", "4",
+          "--seed", "1", "--out", {str(tmp_path / "simulate")!r}]),
+]
+print(json.dumps([codes, sorted(m for m in {SCIPY_SUBMODULES!r} if m in sys.modules)]))
+"""
+    assert fresh_interpreter(code) == [[0, 0], []]
+    assert (tmp_path / "rate" / "rate.json").exists()
+    assert (tmp_path / "simulate" / "simulate.json").exists()

@@ -88,6 +88,47 @@ def test_eigenvectors_are_orthonormal_columns(chain3_critical):
     assert np.allclose(H @ Q, Q * pt.eigenvalues, atol=1e-12)
 
 
+# the damped Newton refinement against scipy's MINPACK hybr as an independent
+# reference: (model, seed off the point, the analytic point)
+NEWTON_CASES = {
+    "rotated2 gamma 1/2 saddle": (lambda: rotated_two_particle(0.5), [0.01, 0.01], [0.0, 0.0]),
+    "sextic saddle": (
+        lambda: poly(2, ((6, 0), 1.0), ((4, 0), -1.0), ((0, 2), 0.5)), [0.01, 0.0], [0.0, 0.0]
+    ),
+    # the rounded coupling spreads the chain's computed zeros over a ball of
+    # radius ~1e-8, where classify must still see the codim-2 saddle
+    "3-chain gamma 2/3 saddle": (lambda: chain_potential(3, 2 / 3), [0.001, 0.0, 0.0], [0.0] * 3),
+    "rotated2 minimum": (lambda: rotated_two_particle(0.5), [1.4, 0.1], [math.sqrt(2.0), 0.0]),
+    # the curvature at 0.6 is 0.08: the full step lands beyond 5 and is halved
+    "double well from 0.6": (double_well_1d, [0.6], [1.0]),
+}
+
+
+def _regime(model, point):
+    try:
+        return type(saddle_spec(model, point)[0].regime).__name__
+    except ValueError as exc:  # a minimum
+        return str(exc)
+
+
+@pytest.mark.parametrize("case", sorted(NEWTON_CASES))
+def test_newton_refinement_matches_hybr(case):
+    from scipy.optimize import root
+
+    build, seed, exact = NEWTON_CASES[case]
+    model = build()
+    (point,) = find_stationary_points(model, [seed])
+    sol = root(model.gradient, np.array(seed), jac=model.hessian, method="hybr", tol=1e-12)
+    # hybr may stop on its call count at a degenerate zero: hold it to the
+    # acceptance rule of find_stationary_points instead of its success flag
+    assert np.linalg.norm(model.gradient(sol.x)) <= 1e-9
+    reference = StationaryPoint.at(model, sol.x)
+    assert np.max(np.abs(point.location - exact)) <= 1e-6
+    assert np.max(np.abs(reference.location - exact)) <= 1e-6
+    assert point.zero_indices == reference.zero_indices
+    assert _regime(model, point) == _regime(model, reference)
+
+
 # ---------------------------------------------------------------------------
 # classification tree (synthetic battery, exact polynomial derivatives)
 
@@ -176,6 +217,25 @@ def test_classify_codim1_degenerate_probe_higher():
     assert order == 6 and coeff == pytest.approx(1.0, rel=1e-3)
 
 
+@pytest.mark.parametrize(
+    "terms, exact",
+    [
+        ((((2, 0), -0.5), ((0, 6), 1.0)), 1.0),
+        ((((2, 0), -0.5), ((0, 6), 1.0), ((2, 2), 1.0)), 1.0),
+        ((((6, 0), -1.0), ((0, 2), 0.5)), -1.0),
+        # x follows y^3 on the soft curve: V_eff = (1 - 1/2 + 1) y^6
+        ((((2, 0), -0.5), ((0, 6), 1.0), ((1, 3), 1.0)), 1.5),
+    ],
+    ids=["-x2/2+y6", "-x2/2+y6+x2y2", "-x6+y2/2", "-x2/2+y6+xy3"],
+)
+def test_probe_finds_the_exact_sixth_order_coefficient(terms, exact):
+    # the probe stationarizes the transverse coordinate by Newton's method
+    sc = classify_at(poly(2, *terms), probe_higher=True)
+    assert sc.tag is SaddleTag.CODIM1 and sc.verdict is Verdict.SADDLE
+    order, coeff = sc.detail.higher
+    assert order == 6 and coeff == pytest.approx(exact, rel=1e-9)
+
+
 def test_codim1_coefficient_correction_from_transverse_coupling():
     # V = y^2/2 + x^2 y + x^4: eliminating y gives V_eff = (1 - 1/2) x^4
     model = poly(2, ((0, 2), 0.5), ((2, 1), 1.0), ((4, 0), 1.0))
@@ -229,6 +289,17 @@ def test_chain_critical_origin_is_codim2_saddle(chain3_critical):
     assert np.allclose(pt.eigenvalues, [-1.0, 0.0, 0.0], atol=1e-12)
     sc = classify(chain3_critical, pt)
     assert sc.tag is SaddleTag.CODIM2 and sc.verdict is Verdict.SADDLE
+
+
+def test_chain_critical_saddle_found_from_any_nearby_seed(chain3_critical):
+    # the refined point lies up to a few 1e-8 from the origin, where the
+    # quartic tensor adds cubic coefficients of half that size
+    rng = np.random.default_rng(7)
+    for seed in rng.uniform(-1e-3, 1e-3, size=(20, 3)):
+        (pt,) = find_stationary_points(chain3_critical, [seed])
+        assert np.linalg.norm(pt.location) < 1e-6
+        sc = classify(chain3_critical, pt)
+        assert sc.tag is SaddleTag.CODIM2 and sc.verdict is Verdict.SADDLE
 
 
 # ---------------------------------------------------------------------------
