@@ -67,7 +67,6 @@ from .rates import (
     ek_codim2,
     ek_flat_stable,
     ek_flat_unstable,
-    higher_codim_capacity_order,
     longitudinal_saddles,
     pitchfork_saddles,
     pitchfork_longitudinal_time,

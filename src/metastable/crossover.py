@@ -128,10 +128,20 @@ def _psi_plus_quadrature(alpha: float) -> float:
     return math.sqrt((1.0 + alpha) / (2.0 * math.pi)) * 2.0 * val
 
 
+def _ring_cut(c: float) -> tuple[float, list[float] | None]:
+    # upper limit and breakpoints for exp(-(y^2 - c)^2/2), which peaks at
+    # sqrt(c) with width about 1/(2 sqrt(c)).  Without breakpoints 12/sqrt(c) to
+    # either side, quad misses one side of a narrow peak from alpha ~ 1e4 on.
+    # Only points inside (0, ymax) are kept: below c = 12 that is the peak alone
+    ymax = 1.1 * math.sqrt(c + math.sqrt(2.0 * _LOG_TRUNC) + 1.0) + 0.5
+    r = math.sqrt(c)
+    w = 12.0 / max(1.0, r)
+    return ymax, [p for p in (r - w, r, r + w) if 0.0 < p < ymax] or None
+
+
 def _psi_minus_quadrature(alpha: float) -> float:
     c = alpha / 4.0
-    ymax = 1.1 * math.sqrt(c + math.sqrt(2.0 * _LOG_TRUNC) + 1.0) + 0.5
-    pts = [math.sqrt(c)] if c > 0 else None
+    ymax, pts = _ring_cut(c)
     val = _quad(lambda y: math.exp(-0.5 * (y * y - c) ** 2), 0.0, ymax, points=pts)
     return math.sqrt((1.0 + alpha) / (2.0 * math.pi)) * 2.0 * val
 
@@ -144,13 +154,16 @@ def _theta_plus_quadrature(alpha: float) -> float:
 
 def _theta_minus_quadrature(alpha: float) -> float:
     c = alpha / 2.0
-    ymax = 1.1 * math.sqrt(c + math.sqrt(2.0 * _LOG_TRUNC) + 1.0) + 0.5
-    pts = [math.sqrt(c)] if c > 0 else None
+    ymax, pts = _ring_cut(c)
     return _quad(lambda y: y * math.exp(-0.5 * (y * y - c) ** 2), 0.0, ymax, points=pts)
 
 
 def _chi_quadrature(alpha: float) -> float:
-    val = _quad(lambda p: math.exp(-alpha * (1.0 - math.cos(p))), 0.0, 2.0 * math.pi, [math.pi])
+    # the integrand peaks at both ends with width about 1/sqrt(alpha); as for
+    # the rings, breakpoints 12 widths in keep quad on both peaks (alpha > 14)
+    w = 12.0 / math.sqrt(alpha) if alpha > 0 else math.inf
+    pts = [w, math.pi, 2.0 * math.pi - w] if w < math.pi else [math.pi]
+    val = _quad(lambda p: math.exp(-alpha * (1.0 - math.cos(p))), 0.0, 2.0 * math.pi, pts)
     return math.sqrt(1.0 + alpha) / math.pi * val
 
 

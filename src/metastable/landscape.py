@@ -11,6 +11,14 @@ of a stationary point:
   analysis, and the angular function k(phi);
 * three or more: tagged only, with a heuristic sign report.
 
+Every soft block goes through one center-manifold reduction,
+:func:`_soft_block`: the third and fourth derivative tensors are rotated into
+the eigenbasis once, and the cubic coupling of the soft directions to the
+quadratic ones is eliminated into an effective quartic tensor.  The codim-1
+classification and :func:`codim1_coefficients`, the codim-2 classification
+and :func:`codim2_form`, and the higher-codimension sign report all read
+those two tensors.
+
 Which eigenvalues count as zero is decided once, when the point is built
 (``zero_tol`` of :meth:`StationaryPoint.at` and
 :func:`find_stationary_points`).  The point also owns the split of the
@@ -249,8 +257,6 @@ class NormalFormCodim2:
     discriminant coefficients, highest degree first.
     """
 
-    null_indices: tuple[int, int]
-    null_basis: np.ndarray  # d x 2
     cubic: dict[str, float]
     quartic: dict[str, float]
     discriminant_degree: int
@@ -274,52 +280,62 @@ class SaddleClass:
     notes: list[str] = field(default_factory=list)
 
 
-# -- codim 1 -----------------------------------------------------------------
+# -- the center-manifold reduction -------------------------------------------
 
 
-def _raw_tensors(model, point):
-    # third/fourth derivative tensors in the model's coordinates
-    return model.third_tensor(point.location), model.fourth_tensor(point.location)
+def _soft_block(model: PotentialModel, point: StationaryPoint):
+    """``(S3, S4, raw_scale, scale)`` on the point's soft eigen-directions s.
 
-
-def _nf_tensors(point, T3, T4):
-    # third/fourth derivative tensors rotated into the eigenbasis
+    ``S3 = T3[s,s,s]``; ``S4 = T4[s,s,s,s] - 3 sum_j sym(B_j (x) B_j) / lambda_j``
+    over the quadratic directions j, with ``B_j = T3[s,s,j]``, is the quartic
+    tensor of the reduced potential ``T4(w^4)/24 - sum_j T3(w,w,e_j)^2 / (8 lambda_j)``.
+    The scales are ``max(1, |T3|, |T4|)`` in the model's coordinates and in
+    the eigenbasis, for the coefficient zero tests.
+    """
+    T3, T4 = model.third_tensor(point.location), model.fourth_tensor(point.location)
+    raw_scale = max(1.0, float(np.max(np.abs(T3))), float(np.max(np.abs(T4))))
     Q = point.eigenvectors
     T3 = np.einsum("abc,ai,bj,ck->ijk", T3, Q, Q, Q)
     T4 = np.einsum("abcd,ai,bj,ck,dl->ijkl", T4, Q, Q, Q, Q)
-    return T3, T4
+    scale = max(1.0, float(np.max(np.abs(T3))), float(np.max(np.abs(T4))))
+    s = point.zero_indices
+    S3 = T3[np.ix_(s, s, s)]
+    S4 = T4[np.ix_(s, s, s, s)]
+    for j, lam in enumerate(point.eigenvalues):
+        B = T3[:, :, j][np.ix_(s, s)]
+        if j in s or not np.any(B):
+            continue
+        BB = np.multiply.outer(B, B)
+        S4 = S4 - (BB + BB.transpose(0, 2, 1, 3) + BB.transpose(0, 3, 2, 1)) / lam
+    return S3, S4, raw_scale, scale
+
+
+# -- codim 1 -----------------------------------------------------------------
 
 
 def codim1_coefficients(model: PotentialModel, point: StationaryPoint) -> NormalFormCodim1:
     """Normal-form coefficients C3, C4 for a point with exactly one zero eigenvalue.
 
     C3 is the cubic Taylor coefficient along the soft direction; C4 is the
-    quartic one corrected for coupling to the nonzero directions:
+    quartic one of the reduced potential (see :func:`_soft_block`):
     ``C4 = V1111 - (1/2) sum_j V11j^2 / lambda_j``.
     """
-    return _codim1_form(point, *_raw_tensors(model, point))
+    return _codim1_form(model, point)[0]
 
 
-def _codim1_form(point: StationaryPoint, T3, T4) -> NormalFormCodim1:
+def _codim1_form(model: PotentialModel, point: StationaryPoint) -> tuple[NormalFormCodim1, float]:
+    # the normal form and the tolerance its coefficients are tested against
     zeros = point.zero_indices
     if len(zeros) != 1:
         raise ValueError(
             f"codim1_coefficients needs exactly one zero eigenvalue, found {len(zeros)}"
         )
-    i0 = zeros[0]
-    lam = point.eigenvalues
-    T3, T4 = _nf_tensors(point, T3, T4)
-    C3 = T3[i0, i0, i0] / 6.0
-    C4 = T4[i0, i0, i0, i0] / 24.0
-    lambda2 = None
-    others = [j for j in range(len(lam)) if j != i0]
-    if others:
-        # the lowest quadratic eigenvalue: the unstable one when there is one
-        lambda2 = float(min(lam[j] for j in others))
-        for j in others:
-            V11j = T3[i0, i0, j] / 2.0
-            C4 -= 0.5 * V11j**2 / lam[j]
-    return NormalFormCodim1(soft_index=i0, lambda2=lambda2, C3=float(C3), C4=float(C4))
+    S3, S4, raw_scale, _ = _soft_block(model, point)
+    others = np.delete(point.eigenvalues, zeros[0])
+    # the lowest quadratic eigenvalue: the unstable one when there is one
+    lambda2 = float(others.min()) if others.size else None
+    C3, C4 = float(S3[0, 0, 0] / 6.0), float(S4[0, 0, 0, 0] / 24.0)
+    return NormalFormCodim1(zeros[0], lambda2, C3, C4), 1e-8 * raw_scale
 
 
 # -- codim 2 -----------------------------------------------------------------
@@ -333,71 +349,42 @@ def _binary_quartic(qs, phi):
     return qs[0] * c**4 + qs[1] * c**3 * s + qs[2] * c**2 * s**2 + qs[3] * c * s**3 + qs[4] * s**4
 
 
+def _binary_form(S: np.ndarray) -> dict[str, float]:
+    """Coefficients of ``S(y^p)/p!`` on a soft pair (y_a, y_b) by monomial label.
+
+    ``V2..23..3`` with k threes is ``S[0..0 1..1] / ((p-k)! k!)``: the
+    multinomial count over ``p!``, divided in one step to keep the bits.
+    """
+    p = S.ndim
+    return {
+        "V" + "2" * (p - k) + "3" * k: float(
+            S[(0,) * (p - k) + (1,) * k] / (math.factorial(p - k) * math.factorial(k))
+        )
+        for k in range(p + 1)
+    }
+
+
 def _codim2_analysis(model: PotentialModel, point: StationaryPoint) -> NormalFormCodim2:
-    ia, ib = point.zero_indices
-    lam = point.eigenvalues
-    T3, T4 = _nf_tensors(point, *_raw_tensors(model, point))
+    S3, S4, _, scale = _soft_block(model, point)
+    cub, quart = _binary_form(S3), _binary_form(S4)
 
-    # cubic coefficients on the null space (multinomial-normalized)
-    cub = {
-        "V222": T3[ia, ia, ia] / 6.0,
-        "V223": T3[ia, ia, ib] / 2.0,
-        "V233": T3[ia, ib, ib] / 2.0,
-        "V333": T3[ib, ib, ib] / 6.0,
-    }
-    # raw restricted quartic coefficients
-    quart = {
-        "V2222": T4[ia, ia, ia, ia] / 24.0,
-        "V2223": T4[ia, ia, ia, ib] / 6.0,
-        "V2233": T4[ia, ia, ib, ib] / 4.0,
-        "V2333": T4[ia, ib, ib, ib] / 6.0,
-        "V3333": T4[ib, ib, ib, ib] / 24.0,
-    }
-    # eliminate the cross-cubic coupling c_j(y) y_j against each stiff direction
-    for j in range(len(lam)):
-        if j in (ia, ib):
-            continue
-        caa = T3[ia, ia, j] / 2.0
-        cab = T3[ia, ib, j]
-        cbb = T3[ib, ib, j] / 2.0
-        if caa == 0.0 and cab == 0.0 and cbb == 0.0:
-            continue
-        inv = 0.5 / lam[j]
-        quart["V2222"] -= inv * caa * caa
-        quart["V2223"] -= inv * 2.0 * caa * cab
-        quart["V2233"] -= inv * (cab * cab + 2.0 * caa * cbb)
-        quart["V2333"] -= inv * 2.0 * cab * cbb
-        quart["V3333"] -= inv * cbb * cbb
-
-    cubic_scale = max(abs(v) for v in cub.values())
-    quartic_scale = max(abs(v) for v in quart.values())
-    tensor_scale = max(1.0, float(np.max(np.abs(T3))), float(np.max(np.abs(T4))))
-    coeff_tol = 1e-9 * tensor_scale
+    coeff_tol = 1e-9 * scale
     # near a codim-2 zero the gradient vanishes to rounding on a ball of radius
     # about sqrt(machine eps), so the point is known only to that radius, and
     # there the quartic tensor adds cubic coefficients of that relative size
-    cubic_tol = math.sqrt(np.finfo(float).eps) * tensor_scale
+    cubic_tol = math.sqrt(np.finfo(float).eps) * scale
 
-    if cubic_scale > cubic_tol:
-        p = 3
-        coeffs = [cub["V222"], cub["V223"], cub["V233"], cub["V333"]]
-    else:
-        p = 4
-        coeffs = [quart[k] for k in _QUARTIC_LABELS]
+    p, form = (3, cub) if max(map(abs, cub.values())) > cubic_tol else (4, quart)
+    delta, count, simple, posdef = _discriminant_analysis(np.array(list(form.values())), coeff_tol)
 
-    delta, count, simple, posdef = _discriminant_analysis(np.array(coeffs), coeff_tol)
-
-    if p == 4 and quartic_scale > coeff_tol:
+    if p == 4 and max(map(abs, quart.values())) > coeff_tol:
         K_minus, K_plus = _angular_extrema(quart)
     else:
         K_minus = K_plus = float("nan")
 
-    basis = point.eigenvectors[:, [ia, ib]]
     return NormalFormCodim2(
-        null_indices=(ia, ib),
-        null_basis=basis,
-        cubic={k: float(v) for k, v in cub.items()},
-        quartic={k: float(v) for k, v in quart.items()},
+        cubic=cub,
+        quartic=quart,
         discriminant_degree=p,
         delta_coeffs=delta,
         real_root_count=count,
@@ -528,10 +515,7 @@ def classify(
 
 
 def _classify_codim1(model, point, probe_higher) -> SaddleClass:
-    # the raw tensors feed both the normal form and the coefficient tolerance
-    T3, T4 = _raw_tensors(model, point)
-    nf = _codim1_form(point, T3, T4)
-    tol = 1e-8 * max(1.0, float(np.max(np.abs(T3))), float(np.max(np.abs(T4))))
+    nf, tol = _codim1_form(model, point)
     unstable_present = point.n_quadratic_unstable == 1
 
     if abs(nf.C3) > tol:
@@ -639,23 +623,17 @@ def _classify_codim2(model, point) -> SaddleClass:
 
 
 def _classify_higher(model, point) -> SaddleClass:
-    # heuristic sign report of the lowest nonvanishing restricted form
+    # heuristic sign report of the lowest nonvanishing form of the reduced potential
     zeros = point.zero_indices
-    B = point.eigenvectors[:, list(zeros)]
     rng = np.random.default_rng(0)
-    dirs = rng.standard_normal((64, len(zeros)))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    T3, T4 = _raw_tensors(model, point)
+    u = rng.standard_normal((64, len(zeros)))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    S3, S4, _, _ = _soft_block(model, point)
     report = {"order": None, "sign_pattern": "zero"}
-    for order, T in ((3, T3), (4, T4)):
-        vals = []
-        for u in dirs:
-            w = B @ u
-            if order == 3:
-                vals.append(np.einsum("abc,a,b,c->", T, w, w, w) / 6.0)
-            else:
-                vals.append(np.einsum("abcd,a,b,c,d->", T, w, w, w, w) / 24.0)
-        vals = np.array(vals)
+    for order, vals in (
+        (3, np.einsum("abc,na,nb,nc->n", S3, u, u, u) / 6.0),
+        (4, np.einsum("abcd,na,nb,nc,nd->n", S4, u, u, u, u) / 24.0),
+    ):
         if np.max(np.abs(vals)) > 1e-10:
             if np.all(vals > 0):
                 pat = "positive"

@@ -60,7 +60,6 @@ __all__ = [
     "UNIT_MINIMUM",
     "combine_gates",
     "relative_discrepancy",
-    "higher_codim_capacity_order",
     "soft_window",
     "sweep_transverse",
     "sweep_longitudinal",
@@ -898,24 +897,6 @@ def relative_discrepancy(a: RateResult, b: RateResult) -> float:
         if scale > 0.0:
             out = max(out, abs(x - y) / scale)
     return out
-
-
-def higher_codim_capacity_order(dimension: int, zero_block: int, p: int) -> tuple[float, str]:
-    """Order-only estimate for ``q - 1 >= 3`` vanishing eigenvalues.
-
-    When the eigenvalues ``lambda_2 .. lambda_q`` all vanish (``zero_block = q
-    >= 4``) and the first nonvanishing normal-form coefficient has even degree
-    ``2p``, the capacity prefactor has order ``eps**(d/2 - (q-1)(p-1)/(2p))``.
-    No constant is available (it would involve a ``(q-2)``-dimensional angular
-    integral), so only the exponent and a display string are returned.
-    """
-    if not isinstance(zero_block, int) or zero_block < 4:
-        raise ValueError("zero_block must be an integer >= 4 (use ek_codim2 for q = 3)")
-    _check_flat_order(p)
-    if dimension < zero_block:
-        raise ValueError("dimension must be at least the size of the degenerate block")
-    exponent = dimension / 2 - (zero_block - 1) * (p - 1) / (2 * p)
-    return exponent, f"eps^({exponent:g}) (constant requires a {zero_block - 2}-dim angular integral)"
 
 
 # ---------------------------------------------------------------------------

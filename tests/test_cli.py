@@ -931,8 +931,9 @@ def test_importing_the_cli_leaves_scipy_unloaded(fresh_interpreter, module):
 
 
 def test_classical_rate_and_simulate_load_no_scipy_submodule(fresh_interpreter, tmp_path):
-    # a nondegenerate saddle needs no crossover function, and Newton's method
-    # on the exact Hessian refines the seeds
+    # a nondegenerate saddle needs no crossover function, Newton's method on
+    # the exact Hessian refines the seeds, and a codim-1 normal form is tensor
+    # algebra on the soft block
     code = f"""
 import json, sys
 from metastable.cli import main
@@ -942,9 +943,12 @@ codes = [
     main(["simulate", "--potential", "double_well", "--eps", "0.3", "--start=-1", "--target", "1",
           "--radius", "0.2", "--saddle-seed", "0", "--max-time", "300", "--replicas", "4",
           "--seed", "1", "--out", {str(tmp_path / "simulate")!r}]),
+    main(["classify", "--potential", "rotated2", "--params", "gamma=0.5", "--seeds", "0,0",
+          "--out", {str(tmp_path / "classify")!r}]),
 ]
 print(json.dumps([codes, sorted(m for m in {SCIPY_SUBMODULES!r} if m in sys.modules)]))
 """
-    assert fresh_interpreter(code) == [[0, 0], []]
+    assert fresh_interpreter(code) == [[0, 0, 0], []]
     assert (tmp_path / "rate" / "rate.json").exists()
     assert (tmp_path / "simulate" / "simulate.json").exists()
+    assert json.loads((tmp_path / "classify" / "classify.json").read_text())[0]["tag"] == "Codim1"

@@ -284,6 +284,31 @@ def test_classify_higher_codim_reports_sign_pattern():
     assert sc.detail == {"order": 4, "sign_pattern": "positive"}
 
 
+def test_classify_codim2_eliminates_coupling_to_a_stiff_unstable_direction():
+    # -w^2/2 + (x^4 + y^4)/4 + x^2 y^2/2 + x y w: eliminating w adds x^2 y^2/2
+    model = poly(
+        3, ((0, 0, 2), -0.5), ((4, 0, 0), 0.25), ((0, 4, 0), 0.25), ((2, 2, 0), 0.5),
+        ((1, 1, 1), 1.0),
+    )
+    sc = classify_at(model)
+    assert sc.tag is SaddleTag.CODIM2 and sc.verdict is Verdict.SADDLE
+    quartic = codim2_form(model, StationaryPoint.at(model, np.zeros(3))).quartic
+    assert sc.detail.quartic == quartic
+    exact = {"V2222": 0.25, "V2223": 0.0, "V2233": 1.0, "V2333": 0.0, "V3333": 0.25}
+    assert quartic == pytest.approx(exact, abs=1e-14)
+
+
+def test_classify_higher_codim_eliminates_coupling_to_stiff_directions():
+    # (x^4 + y^4 + z^4)/4 + w^2/2 + x^2 w: eliminating w gives (-x^4 + y^4 + z^4)/4
+    model = poly(
+        4, ((4, 0, 0, 0), 0.25), ((0, 4, 0, 0), 0.25), ((0, 0, 4, 0), 0.25), ((0, 0, 0, 2), 0.5),
+        ((2, 0, 0, 1), 1.0),
+    )
+    sc = classify_at(model)
+    assert sc.tag is SaddleTag.HIGHER_CODIM and sc.verdict is Verdict.UNDETERMINED
+    assert sc.detail == {"order": 4, "sign_pattern": "mixed"}
+
+
 def test_chain_critical_origin_is_codim2_saddle(chain3_critical):
     pt = StationaryPoint.at(chain3_critical, np.zeros(3))
     assert np.allclose(pt.eigenvalues, [-1.0, 0.0, 0.0], atol=1e-12)

@@ -27,7 +27,6 @@ from metastable import (
     ek_codim2,
     ek_flat_stable,
     ek_flat_unstable,
-    higher_codim_capacity_order,
     longitudinal_saddles,
     pitchfork_longitudinal_time,
     pitchfork_saddles,
@@ -655,18 +654,6 @@ def test_relative_discrepancy_behaviour():
     assert relative_discrepancy(a, a) == 0.0
     b = combine_gates(a, 2)
     assert relative_discrepancy(a, b) == pytest.approx(0.5)
-
-
-def test_higher_codim_capacity_order():
-    exponent, text = higher_codim_capacity_order(dimension=5, zero_block=4, p=2)
-    assert exponent == pytest.approx(5 / 2 - 3 / 4)
-    assert "eps^(1.75)" in text and "2-dim angular integral" in text
-    with pytest.raises(ValueError):
-        higher_codim_capacity_order(5, 3, 2)
-    with pytest.raises(ValueError):
-        higher_codim_capacity_order(3, 4, 2)
-    with pytest.raises(ValueError):
-        higher_codim_capacity_order(5, 4, 1)
 
 
 # ---------------------------------------------------------------------------
