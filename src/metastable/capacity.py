@@ -19,19 +19,18 @@ estimated -- it is exponentially small once the box conditions hold, and the
 bounds carry that caveat in their notes.
 
 Both tensor-grid bounds refine on the same ladder of grids (``grid``,
-``2 grid - 1``, ... nodes per axis, up to a cap by dimension), and on a given
-saddle and box the potential on those grids is the same for both.  Passing one
-``levels`` dict to both calls shares it: each bound takes the grids it needs
-from the dict and adds the ones it is first to reach, so a ``verify`` row
-evaluates every level once.  A dict belongs to one (model, saddle, box); the
-caller drops it with the row.  The grid that checks the box conditions is
-evaluated inside each call.  A grid is evaluated, and each bound's integrand
-computed and contracted, in slabs of at most ``potentials._SLAB_ROWS`` points
-(``potentials._slab_length``): the upper bound's along axis 0, the lower
-bound's along axis 1.  Evaluating a level, or a bound on it, so takes the
-memory of the grid plus one slab, never a second grid-sized array; with one
-BLAS thread the grid values and the bounds are bit for bit those of one call
-over the whole grid.
+``2 grid - 1``, ... nodes per axis, up to a cap by dimension), and one pass
+over a level's grid gives both integrals.  Passing one ``levels`` dict to both
+calls shares them: it maps a level ``n`` to its (upper, lower) integrals, each
+bound reads the levels it needs and adds the ones it is first to reach, so a
+``verify`` row evaluates every level once.  A dict belongs to one (model,
+saddle, box); the caller drops it with the row.  No grid is stored: a level
+streams in slabs of at most ``potentials._SLAB_ROWS`` points along axis 0
+(``potentials._grid_slabs``), each slab folded into per-line sums and the
+fiber array, so a level takes the memory of one slab plus arrays of
+``n**(d-1)`` nodes.  With one BLAS thread the integrals do not depend on the
+slab length.  The grid that checks the box conditions (at most 65 nodes per
+axis) is evaluated inside each call.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .landscape import StationaryPoint, codim1_coefficients, codim2_form
-from .potentials import PotentialModel, _grid_values, _slab_length
+from .potentials import PotentialModel, _grid_slabs, _grid_values, _slab_length
 
 __all__ = [
     "BoxSpec",
@@ -364,14 +363,105 @@ def _box_condition_warnings(
     return out
 
 
+def _add_planes(fibers: np.ndarray, lines: np.ndarray, start: int, wt0: np.ndarray) -> None:
+    """Add ``wt0[i0] * lines[k]`` into ``fibers[r]``, where grid line
+    ``start + k`` (C order) is line ``r`` of axis-0 plane ``i0`` and ``fibers``
+    holds one plane of lines.  Each fiber sums its planes in order along
+    axis 0, so the sums do not depend on where the slabs are cut.  ``lines``
+    is overwritten."""
+    per_plane = len(fibers)
+    k = 0
+    while k < len(lines):
+        i0, r = divmod(start + k, per_plane)
+        m = (len(lines) - k) // per_plane
+        if r == 0 and m:
+            # whole planes: one reduction along axis 0, which numpy runs in order
+            planes = lines[k : k + m * per_plane].reshape(m, per_plane, -1)
+            planes *= wt0[i0 : i0 + m, None, None]
+            planes[0] += fibers
+            np.add.reduce(planes, axis=0, out=fibers)
+            k += m * per_plane
+        else:
+            part = lines[k : k + min(per_plane - r, len(lines) - k)]
+            part *= wt0[i0]
+            fibers[r : r + len(part)] += part
+            k += len(part)
+
+
+def _level(
+    model: PotentialModel,
+    point: StationaryPoint,
+    widths: Sequence[float],
+    n: int,
+    eps: float,
+) -> tuple[float, float]:
+    """The upper and lower bound on the ``n``-node grid over
+    ``[-widths, widths]`` in the eigenbasis of ``point``, each without its
+    ``exp(-V(z)/eps)`` factor, from one pass over ``w = V - V(point)``.
+
+    The upper bound is ``eps`` times the Simpson integral of
+    ``exp(-w/eps) f'(y1)**2``, where ``f'`` is ``exp(w/eps)`` on the centre
+    line normalised to unit integral; the lower bound is ``eps`` times the
+    Simpson integral over the transverse section of the inverse fiber
+    integrals of ``exp(w/eps)``.  The grid streams in slabs of whole lines in
+    order along axis 0 (``potentials._grid_slabs``): each line's
+    ``exp(-w/eps)`` is contracted over the last axis and its ``exp(w/eps)``
+    added into the fiber array, and the centre line is recorded.  ``f'**2``
+    multiplies the axis-0 plane sums after the pass.  Memory is one slab plus
+    arrays of ``n**(d-1)`` nodes; with one BLAS thread the result does not
+    depend on the slab length.
+    """
+    d = model.dim
+    axes = [np.linspace(-w, w, n) for w in widths]
+    wts = [_simpson_weights(n, a[1] - a[0]) for a in axes]
+    slabs = _grid_slabs(model, axes, (point.location, point.eigenvectors))
+    if d == 1:
+        # one line, along axis 0: it is the centre line and the only fiber
+        ((_, w),) = slabs
+        centre = w[0] - point.value
+        sections = np.exp(-centre / eps)
+        fibers = np.exp(centre / eps) @ wts[0]
+    else:
+        per_plane = n ** (d - 2)  # lines per axis-0 plane; the centre line is the middle one
+        line_sums, centre = np.empty(n ** (d - 1)), np.empty(n)
+        fibers = np.zeros((per_plane, n))
+        w_buf, e_buf = np.empty((2, min(_slab_length(n), n ** (d - 1)), n))
+        for start, values in slabs:
+            w = np.subtract(values, point.value, out=w_buf[: len(values)])
+            stop = start + len(w)
+            first = (per_plane // 2 - start) % per_plane
+            part = w[first::per_plane, n // 2]
+            i0 = (start + first) // per_plane
+            centre[i0 : i0 + len(part)] = part
+            e = e_buf[: len(w)]
+            np.divide(w, -eps, out=e)
+            np.exp(e, out=e)
+            np.matmul(e, wts[-1], out=line_sums[start:stop])
+            np.divide(w, eps, out=e)
+            np.exp(e, out=e)
+            _add_planes(fibers, e, start, wts[0])
+        sections = line_sums.reshape((n,) * (d - 1))
+        for wt in reversed(wts[1:-1]):
+            sections = sections @ wt
+        fibers = fibers.reshape((n,) * (d - 1))
+    g = np.exp(centre / eps)
+    fprime_sq = (g / float(wts[0] @ g)) ** 2
+    upper = eps * float((sections * fprime_sq) @ wts[0])
+    integrand = 1.0 / fibers
+    for wt in reversed(wts[1:]):
+        integrand = integrand @ wt
+    return upper, eps * float(integrand)
+
+
 def _refine(
     model: PotentialModel,
     point: StationaryPoint,
     box: BoxSpec,
     grid: int,
-    evaluate: Callable[[np.ndarray, list[np.ndarray], float], float],
-    levels: dict[int, tuple[np.ndarray, list[np.ndarray]]],
+    which: int,
+    levels: dict[int, tuple[float, float]],
 ) -> tuple[float, tuple[int, ...], float]:
+    """Refine bound ``which`` (0 upper, 1 lower) of :func:`_level` on the ladder."""
     d = model.dim
     widths = _axis_widths(box, d)
     n = max(5, int(grid))
@@ -381,16 +471,16 @@ def _refine(
     if cap is None:
         raise ValueError("tensor-grid bounds support dimensions 1 to 3 only")
 
-    def level(n: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    def level(n: int) -> float:
         if n not in levels:
-            levels[n] = _tensor_w(model, point, widths, [n] * d)
-        return levels[n]
+            levels[n] = _level(model, point, widths, n, box.eps)
+        return levels[n][which]
 
-    value = evaluate(*level(n), box.eps)
+    value = level(n)
     rel = math.inf
     while n < cap:
         n = 2 * n - 1
-        new = evaluate(*level(n), box.eps)
+        new = level(n)
         rel = abs(new - value) / max(abs(new), 1e-300)
         value = new
         if rel < _REL_TOL:
@@ -406,13 +496,13 @@ def _bound(
     levels: dict | None,
     method: str,
     notes: tuple[str, ...],
-    evaluate: Callable[[np.ndarray, list[np.ndarray], float], float],
+    which: int,
 ) -> CapacityEstimate:
-    """Refine ``evaluate`` on the ladder, check the box on a grid of at most
+    """Refine bound ``which`` on the ladder, check the box on a grid of at most
     65 nodes per axis, and scale by ``exp(-V(z)/eps)``."""
     eps = box.eps
     value, shape, rel = _refine(
-        model, saddle, box, grid, evaluate, {} if levels is None else levels
+        model, saddle, box, grid, which, {} if levels is None else levels
     )
     w, _ = _tensor_w(model, saddle, _axis_widths(box, model.dim), [min(s, 65) for s in shape])
     box_msgs = _box_condition_warnings(w, eps, model.dim, method)
@@ -427,55 +517,6 @@ def _bound(
         rel_change=rel,
         notes=(*notes, *box_msgs),
     )
-
-
-def _dirichlet_energy(w: np.ndarray, axes: list[np.ndarray], eps: float) -> float:
-    """``eps`` times the Simpson integral of ``exp(-w/eps) f'(y1)**2``: the upper
-    bound without its ``exp(-V(z)/eps)`` factor."""
-    weights = [_simpson_weights(len(a), a[1] - a[0]) for a in axes]
-    center = tuple([slice(None)] + [len(a) // 2 for a in axes[1:]])
-    g = np.exp(w[center] / eps)
-    f_norm = float(weights[0] @ g)
-    fprime_sq = (g / f_norm).reshape((-1,) + (1,) * (w.ndim - 1)) ** 2
-    # exp(-w/eps) f'^2 in slabs along axis 0, each contracted over the rest
-    step = _slab_length(w[0].size)
-    slab = np.empty((min(step, len(w)),) + w.shape[1:])
-    sections = np.empty(len(w))
-    for start in range(0, len(w), step):
-        stop = min(start + step, len(w))
-        part = slab[: stop - start]
-        np.negative(w[start:stop], out=part)
-        part /= eps
-        np.exp(part, out=part)
-        part *= fprime_sq[start:stop]
-        for wt in reversed(weights[1:]):
-            part = part @ wt
-        sections[start:stop] = part
-    return eps * float(sections @ weights[0])
-
-
-def _fiber_capacities(w: np.ndarray, axes: list[np.ndarray], eps: float) -> float:
-    """``eps`` times the Simpson integral over the transverse section of the
-    inverse fiber integrals of ``exp(w/eps)``: the lower bound without its
-    ``exp(-V(z)/eps)`` factor."""
-    weights = [_simpson_weights(len(a), a[1] - a[0]) for a in axes]
-    if w.ndim == 1:
-        return eps * float(1.0 / np.tensordot(np.exp(w / eps), weights[0], axes=(0, 0)))
-    # fiber integrals of exp(w/eps) in slabs along axis 1
-    n1 = w.shape[1]
-    step = _slab_length(w.size // n1)
-    slab = np.empty((len(w), min(step, n1)) + w.shape[2:])
-    inner = np.empty(w.shape[1:])
-    for start in range(0, n1, step):
-        stop = min(start + step, n1)
-        part = slab[:, : stop - start]
-        np.divide(w[:, start:stop], eps, out=part)
-        np.exp(part, out=part)
-        inner[start:stop] = np.tensordot(part, weights[0], axes=(0, 0))
-    integrand = 1.0 / inner
-    for wt in reversed(weights[1:]):
-        integrand = integrand @ wt
-    return eps * float(integrand)
 
 
 def dirichlet_upper_bound(
@@ -495,11 +536,11 @@ def dirichlet_upper_bound(
     bound for the capacity up to quadrature error and the dropped outside-box
     contribution.  Simpson tensor grids are refined (nodes doubled per axis)
     until the value changes by less than 1e-6 relative.  ``levels`` shares
-    the tensor grids with other bounds on the same saddle and box (see the
-    module docstring).
+    each level's integrals with :func:`fiber_lower_bound` on the same saddle
+    and box, which are computed in the same pass (see the module docstring).
     """
     notes = ("outside-box contribution dropped (exponentially negligible)",)
-    return _bound(model, saddle, box, grid, levels, "dirichlet_upper", notes, _dirichlet_energy)
+    return _bound(model, saddle, box, grid, levels, "dirichlet_upper", notes, 0)
 
 
 def fiber_lower_bound(
@@ -517,16 +558,18 @@ def fiber_lower_bound(
     at one and zero); integrating over the transverse section gives a lower
     bound.  By the Cauchy-Schwarz inequality the fiber integrand never exceeds
     the trial-function integrand of :func:`dirichlet_upper_bound`, so on a
-    shared box and grid the ordering ``lower <= upper`` holds exactly.  Fibers
-    are evaluated in slabs of a fixed order, so results are deterministic.
-    ``levels`` is as in :func:`dirichlet_upper_bound`.
+    shared box and grid the ordering ``lower <= upper`` holds exactly.  Each
+    fiber sums its nodes in order along the unstable axis, so results are
+    deterministic.  ``levels`` is as in :func:`dirichlet_upper_bound`: on a
+    dict the upper bound has filled, only levels beyond its ladder are
+    evaluated.
     """
     notes = (
         "outside-box contribution dropped (exponentially negligible)",
         "boundary values fixed at 1 and 0; the O(sqrt(eps)) equilibrium-potential "
         "correction is folded into comparison tolerances",
     )
-    return _bound(model, saddle, box, grid, levels, "fiber_lower", notes, _fiber_capacities)
+    return _bound(model, saddle, box, grid, levels, "fiber_lower", notes, 1)
 
 
 def capacity_1d_exact(

@@ -307,7 +307,7 @@ def _cmd_verify(ns, argv) -> int:
     violation = None
     for eps in _parse_floats(ns.eps):
         box = default_box(model, saddle, eps, scale=ns.box_scale)
-        levels: dict = {}  # the row's tensor grids, shared by both bounds
+        levels: dict = {}  # the row's per-level integrals, shared by both bounds
         upper = dirichlet_upper_bound(model, saddle, box, grid=ns.grid_nodes, levels=levels)
         lower = fiber_lower_bound(model, saddle, box, grid=ns.grid_nodes, levels=levels)
         del levels

@@ -317,11 +317,12 @@ class ChainPotential(PotentialModel):
             L[i, (i + 1) % N] -= 0.5
             L[i, (i - 1) % N] -= 0.5
         self._laplacian = L  # coupling quadratic form: (gamma/4)*sum (x_i-x_{i+1})^2 = (gamma/2) x.L.x
+        self._next = np.roll(np.arange(N), -1)  # x[self._next] is np.roll(x, -1)
 
     def value(self, x) -> float:
         x = np.asarray(x, dtype=float)
         onsite = float(np.sum(0.25 * x**4 - 0.5 * x**2))
-        diff = x - np.roll(x, -1)
+        diff = x - x[self._next]
         return onsite + 0.25 * self.gamma * float(np.sum(diff**2))
 
     def value_many(self, pts: np.ndarray) -> np.ndarray:
@@ -395,17 +396,17 @@ def _slab_length(size: int) -> int:
     return 16 * max(1, _SLAB_ROWS // (16 * size))
 
 
-def _grid_values(model: PotentialModel, axes, frame=None) -> np.ndarray:
-    """V on the tensor grid of the 1-D ``axes``, shape ``(len(a) for a in axes)``.
+def _grid_slabs(model: PotentialModel, axes, frame=None):
+    """Yield ``(start, values)`` over the tensor grid of the 1-D ``axes``:
+    ``values[k]`` is V on line ``start + k`` along the last axis, lines in C
+    order, so the slabs come in order along axis 0.
 
     A node ``y`` is the point ``location + Q y`` for ``frame = (location, Q)``,
-    else ``y`` itself.  The grid is evaluated in slabs of at most
-    ``_SLAB_ROWS`` points, so memory is the grid plus one slab.  A slab is a
-    run of whole lines along the last axis, in C order, as many as
-    :func:`_slab_length` gives: the polynomial kernel's ``coeffs @ terms``
-    then meets the same row blocks as in one ``value_many`` call over the
-    whole grid, and with one BLAS thread the values are bit for bit those of
-    that call.
+    else ``y`` itself.  A slab holds at most ``_SLAB_ROWS`` points unless one
+    line exceeds it, and is as many whole lines as :func:`_slab_length` gives:
+    the polynomial kernel's ``coeffs @ terms`` then meets the same row blocks
+    as in one ``value_many`` call over the whole grid, and with one BLAS
+    thread the values are bit for bit those of that call.
     """
     shape = tuple(len(a) for a in axes)
     d, n_last = len(shape), shape[-1]
@@ -413,20 +414,31 @@ def _grid_values(model: PotentialModel, axes, frame=None) -> np.ndarray:
     lines = np.empty((d - 1, math.prod(shape[:-1])))
     for k, m in enumerate(np.meshgrid(*axes[:-1], indexing="ij")):
         lines[k] = m.ravel()
-    V = np.empty(shape)
-    rows = V.reshape(-1, n_last)
     step = _slab_length(n_last)
-    for start in range(0, len(rows), step):
-        count = min(step, len(rows) - start)
-        # points as columns, so each coordinate is one contiguous row
-        y = np.empty((d, count * n_last))
-        y[:-1] = np.repeat(lines[:, start : start + count], n_last, axis=1)
-        y[-1] = np.tile(axes[-1], count)
+    # a slab's points as columns, so each coordinate is one contiguous row, in
+    # buffers allocated once: the last slab takes the front of them
+    y = np.empty((d, min(step, lines.shape[1]) * n_last))
+    x = y if frame is None else np.empty_like(y)
+    y_lines = y.reshape(d, -1, n_last)
+    for start in range(0, lines.shape[1], step):
+        count = min(step, lines.shape[1] - start)
+        y_lines[:-1, :count] = lines[:, start : start + count, None]
+        y_lines[-1, :count] = axes[-1]
+        pts = x[:, : count * n_last]
         if frame is not None:
             location, Q = frame
-            y = Q @ y
-            y += location[:, None]
-        rows[start : start + count] = model.value_many(y.T).reshape(count, n_last)
+            np.matmul(Q, y[:, : count * n_last], out=pts)
+            pts += location[:, None]
+        yield start, model.value_many(pts.T).reshape(count, n_last)
+
+
+def _grid_values(model: PotentialModel, axes, frame=None) -> np.ndarray:
+    """V on the tensor grid of the 1-D ``axes``, shape ``(len(a) for a in axes)``,
+    filled from :func:`_grid_slabs`, so memory is the grid plus one slab."""
+    V = np.empty(tuple(len(a) for a in axes))
+    rows = V.reshape(-1, V.shape[-1])
+    for start, values in _grid_slabs(model, axes, frame):
+        rows[start : start + len(values)] = values
     return V
 
 

@@ -30,7 +30,8 @@ from metastable import (
     reduced_capacity,
     rotated_two_particle,
 )
-from metastable.capacity import _dirichlet_energy, _fiber_capacities, _simpson_weights, _tensor_w
+from metastable import potentials
+from metastable.capacity import _level, _simpson_weights, _tensor_w
 from metastable.potentials import _SLAB_ROWS, _slab_length
 from metastable.cli import main
 
@@ -350,45 +351,85 @@ def _one_shot_lower(w, axes, eps):
     return eps * float(integrand)
 
 
+def _one_shot_level(w, axes, eps):
+    # _level's sums over the whole grid at once, in _level's order: one gemv
+    # over every line, then the fibers plane by plane along axis 0
+    weights = [_simpson_weights(len(a), a[1] - a[0]) for a in axes]
+    center = tuple([slice(None)] + [len(a) // 2 for a in axes[1:]])
+    sections = (np.exp(-w / eps).reshape(-1, w.shape[-1]) @ weights[-1]).reshape(w.shape[:-1])
+    for wt in reversed(weights[1:-1]):
+        sections = sections @ wt
+    fibers = np.zeros(w.shape[1:])
+    for wt, plane in zip(weights[0], np.exp(w / eps)):
+        fibers += wt * plane
+    g = np.exp(w[center] / eps)
+    upper = eps * float((sections * (g / float(weights[0] @ g)) ** 2) @ weights[0])
+    integrand = 1.0 / fibers
+    for wt in reversed(weights[1:]):
+        integrand = integrand @ wt
+    return upper, eps * float(integrand)
+
+
 # at the smaller eps some fibers of poly3 overflow and contribute 1/inf = 0
 BOUND_EPS = (0.05, 0.0005)
+# two slab sizes that cut every STREAMED_GRIDS grid at different lines
+SLAB_ROWS = (2**13, 2**17)
 
 
-def _streamed_bound_mismatches() -> dict[str, list[str]]:
-    """Per grid, the bounds and eps at which the slab-streamed integrals differ
-    from the one-shot expressions."""
+def _level_mismatches() -> dict[str, list[str]]:
+    """Per grid, the eps and ``_SLAB_ROWS`` at which ``_level`` differs from
+    the one-shot sums in its own order."""
     out = {}
-    for name, (build, at, n) in STREAMED_GRIDS.items():
-        model = build()
-        point = StationaryPoint.at(model, np.array(at))
-        w, axes = _tensor_w(model, point, [0.9, 0.6, 0.4][: model.dim], [n] * model.dim)
-        # both bounds take several slabs, the last one partial
-        assert _slab_length(w[0].size) < n and _slab_length(w.size // n) < n
-        assert n % 16 != 0
-        out[name] = [
-            f"{label} eps={eps}"
-            for eps in BOUND_EPS
-            for label, streamed, one_shot in (
-                ("upper", _dirichlet_energy, _one_shot_upper),
-                ("lower", _fiber_capacities, _one_shot_lower),
-            )
-            if not streamed(w, axes, eps) == one_shot(w, axes, eps)
-        ]
+    default = potentials._SLAB_ROWS
+    try:
+        for name, (build, at, n) in STREAMED_GRIDS.items():
+            model = build()
+            point = StationaryPoint.at(model, np.array(at))
+            widths = [0.9, 0.6, 0.4][: model.dim]
+            w = _one_shot_grid(model, point, widths, n)
+            axes = [np.linspace(-wd, wd, n) for wd in widths]
+            out[name], cuts = [], set()
+            for rows in SLAB_ROWS:
+                potentials._SLAB_ROWS = rows
+                cuts.add(_slab_length(n))
+                out[name] += [
+                    f"eps={eps} slab rows={rows}"
+                    for eps in BOUND_EPS
+                    if not _level(model, point, widths, n, eps) == _one_shot_level(w, axes, eps)
+                ]
+            # several slabs at each size, cut at different lines, the last one partial
+            assert len(cuts) == 2 and max(cuts) < n ** (model.dim - 1) and n % 16 != 0
+    finally:
+        potentials._SLAB_ROWS = default
     return out
 
 
 @pytest.fixture(scope="module")
-def streamed_bound_mismatches(fresh_interpreter):
+def level_mismatches(fresh_interpreter):
     # one BLAS thread, for the reason given at streamed_mismatches
     return fresh_interpreter(
         "import json, warnings, test_capacity; warnings.simplefilter('ignore'); "
-        "print(json.dumps(test_capacity._streamed_bound_mismatches()))"
+        "print(json.dumps(test_capacity._level_mismatches()))"
     )
 
 
 @pytest.mark.parametrize("name", sorted(STREAMED_GRIDS))
-def test_streamed_bounds_equal_the_one_shot_expressions(streamed_bound_mismatches, name):
-    assert streamed_bound_mismatches[name] == []
+def test_level_is_the_one_shot_sums_at_any_slab_length(level_mismatches, name):
+    assert level_mismatches[name] == []
+
+
+@pytest.mark.parametrize("name", sorted(STREAMED_GRIDS))
+@pytest.mark.parametrize("eps", BOUND_EPS)
+def test_level_agrees_with_the_one_shot_bound_expressions(name, eps):
+    build, at, n = STREAMED_GRIDS[name]
+    model = build()
+    point = StationaryPoint.at(model, np.array(at))
+    widths = [0.9, 0.6, 0.4][: model.dim]
+    w, axes = _tensor_w(model, point, widths, [n] * model.dim)
+    with np.errstate(over="ignore"):
+        upper, lower = _level(model, point, widths, n, eps)
+        expected = (_one_shot_upper(w, axes, eps), _one_shot_lower(w, axes, eps))
+    assert (upper, lower) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -399,23 +440,23 @@ def test_streamed_bounds_equal_the_one_shot_expressions(streamed_bound_mismatche
     ],
     ids=["chain3", "rotated2"],
 )
-def test_bounds_on_stored_levels_need_no_second_grid(build, eps, n):
+def test_verify_row_peak_memory_is_a_few_slabs(build, eps, n):
     model = build()
     pt = StationaryPoint.at(model, np.zeros(model.dim))
     box = default_box(model, pt, eps)
-    levels = {}
-    dirichlet_upper_bound(model, pt, box, levels=levels)
-    fiber_lower_bound(model, pt, box, levels=levels)
-    assert max(levels) == n
-    largest = levels[n][0].nbytes
-    for bound in (dirichlet_upper_bound, fiber_lower_bound):
-        tracemalloc.start()
-        try:
-            bound(model, pt, box, levels=levels)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 0.5 * largest, bound.__name__
+    tracemalloc.start()
+    try:
+        levels = {}
+        upper = dirichlet_upper_bound(model, pt, box, levels=levels)
+        lower = fiber_lower_bound(model, pt, box, levels=levels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert upper.grid_shape == lower.grid_shape == (n,) * model.dim
+    # one slab of values is 0.26 MB, and value_many's temporaries on a slab
+    # take up to 26 times that (rotated2); the 129^3 grid alone takes 66 and
+    # the 1025^2 grid 32, and storing the levels peaked at 89 and 57
+    assert peak <= 30 * _SLAB_ROWS * 8
 
 
 def test_tensor_bounds_reject_dimension_above_three():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metastable.landscape import find_stationary_points
 from metastable.potentials import (
     TWO_PARTICLE_CRITICAL_COUPLING,
     ChainPotential,
@@ -100,6 +101,19 @@ def test_chain_batch_kernel_matches_the_power_formula(N):
     reference = np.sum(0.25 * pts**4 - 0.5 * pts**2, axis=1) + coupling
     scale = np.sum(0.25 * pts**4 + 0.5 * pts**2, axis=1) + coupling  # size of the terms
     assert np.all(np.abs(model.value_many(pts) - reference) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+def test_chain_value_equals_the_roll_formula_bit_for_bit(N):
+    model = chain_potential(N, 0.68)
+    rng = np.random.default_rng(N)
+    seeds = rng.uniform(-1.5, 1.5, size=(12, N))
+    points = [p.location for p in find_stationary_points(model, seeds)]
+    assert len(points) >= 2
+    for x in [*rng.uniform(-1.8, 1.8, size=(50, N)), *points]:
+        onsite = float(np.sum(0.25 * x**4 - 0.5 * x**2))
+        rolled = onsite + 0.25 * model.gamma * float(np.sum((x - np.roll(x, -1)) ** 2))
+        assert model.value(x) == rolled
 
 
 def _hand_built():
