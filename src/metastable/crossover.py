@@ -11,11 +11,14 @@ quadratic-saddle regime and the degenerate regimes:
 Each function has two genuinely independent evaluation routes: a closed
 form in terms of Bessel/erf-type special functions, and direct adaptive
 quadrature of the defining integral.  The public functions are the closed
-forms, valid for every ``alpha >= 0``; the scaled Bessel functions switch to
-their Hankel expansions from the argument z = 20 on.  scipy.special and
-scipy.integrate are imported on first use: each costs a quarter of a second
-or more of start-up, which commands that evaluate no crossover function
-should not pay.  The route is chosen in one place, :func:`evaluate`
+forms, valid for every ``alpha >= 0``.  Their special functions are computed
+here from :mod:`math` alone: the scaled Bessel functions by power series,
+the reflection formula and the trapezoidal rule below the argument z = 20
+and by their Hankel expansions from there on, erfcx from ``math.erfc`` and
+an asymptotic tail, and the normal cdf from ``math.erfc``.  So the closed
+forms import no scipy.  The quadrature routes import scipy.integrate on
+first use (a quarter of a second or more of start-up, which the closed
+forms do not pay).  The route is chosen in one place, :func:`evaluate`
 (``route="auto"`` is the closed form), and the quadrature route is the
 independent check on it.
 """
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 
 __all__ = [
     "CrossoverEval",
@@ -52,11 +55,37 @@ class CrossoverEval:
 
 
 # ---------------------------------------------------------------------------
-# scaled modified Bessel functions
+# scaled modified Bessel functions, erfcx and the normal cdf, from `math` alone
 
 # From this argument on, the Hankel sums below reach double precision within
-# 27 terms (6 at z = 1e3); below it scipy's scaled Bessel functions do.
+# 27 terms (6 at z = 1e3); below it the power series of I_nu do, within 36
+# terms, and K_{1/4} comes from them or from the trapezoidal rule.
 _HANKEL_MIN = 20.0
+
+# Gamma(1/4) and Gamma(3/4), correctly rounded (math.gamma(0.25) is an ulp high);
+# Gamma(5/4) is Gamma(1/4)/4 exactly
+_GAMMA_1_4 = 3.625609908221908
+_GAMMA_3_4 = 1.2254167024651776
+
+# 1/(k (k + nu)), the ratio of successive power-series terms over (z/2)^2
+_SERIES_K = range(1, 61)
+_RATIO_ZERO = tuple(1.0 / (k * k) for k in _SERIES_K)
+_RATIO_QUARTER = tuple((1.0 / (k * (k - 0.25)), 1.0 / (k * (k + 0.25))) for k in _SERIES_K)
+
+# e^z K_{1/4}(z) = int_0^inf exp(-2 z sinh^2(t/2)) cosh(t/4) dt (DLMF 10.32.9)
+# by the trapezoidal rule from _K_TRAPEZOID_MIN to _HANKEL_MIN.  The integrand
+# is analytic in a strip and falls off double-exponentially, so the error
+# falls like exp(-const/step): at step 0.15 it is below 1e-16 (at 0.2 it is
+# 4e-13 near z = 20).  A node is (2 sinh^2(t/2), weight); the 30 nodes end
+# where the integrand is e^-41 of its peak at z = _K_TRAPEZOID_MIN
+_K_TRAPEZOID_MIN = 1.0
+_K_STEP = 0.15
+_K_CUT = 41.0
+_K_T = [k * _K_STEP for k in range(1 + int(math.acosh(1.0 + _K_CUT / _K_TRAPEZOID_MIN) / _K_STEP))]
+_K_NODES = tuple(
+    (2.0 * math.sinh(0.5 * t) ** 2, _K_STEP * math.cosh(0.25 * t) * (0.5 if t == 0.0 else 1.0))
+    for t in _K_T
+)
 
 
 def _hankel_sum(z: float, nu: float) -> float:
@@ -72,19 +101,39 @@ def _hankel_sum(z: float, nu: float) -> float:
     return total
 
 
-@cache
-def _special():
-    # a statement `from scipy.special import f` in each function would cost
-    # 0.3 us per call, a third of a closed form; the cached module, 40 ns
-    from scipy import special
-
-    return special
+def _i_quarter_pair(z: float) -> tuple[float, float]:
+    # (I_{-1/4}(z), I_{1/4}(z)) for 0 < z < _HANKEL_MIN by their power series
+    # sum_k (z/2)^{2k + nu} / (k! Gamma(k + 1 + nu)) (DLMF 10.25.2); every term
+    # is positive.  The I_{-1/4} terms fall more slowly, so when they stop
+    # mattering the I_{1/4} terms have stopped too
+    q = 0.25 * z * z
+    tm = tp = sm = sp = 1.0
+    for rm, rp in _RATIO_QUARTER:
+        tm *= q * rm
+        tp *= q * rp
+        sm += tm
+        sp += tp
+        if tm < 1e-17 * sm:
+            break
+    h = math.sqrt(math.sqrt(0.5 * z))
+    return sm / (h * _GAMMA_3_4), 4.0 * sp * h / _GAMMA_1_4
 
 
 def _scaled_k_quarter(z: float) -> float:
     # e^z K_{1/4}(z) for z > 0
+    if z < _K_TRAPEZOID_MIN:
+        # K_{1/4} = (pi/sqrt 2)(I_{-1/4} - I_{1/4}) (DLMF 10.27.4); the
+        # difference costs at most a factor e^{2z} of relative accuracy
+        i_minus, i_plus = _i_quarter_pair(z)
+        return math.pi / math.sqrt(2.0) * (i_minus - i_plus) * math.exp(z)
     if z < _HANKEL_MIN:
-        return float(_special().kve(0.25, z))
+        cut = _K_CUT / z
+        total = 0.0
+        for c, weight in _K_NODES:
+            if c > cut:
+                break
+            total += weight * math.exp(-z * c)
+        return total
     return math.sqrt(math.pi / (2.0 * z)) * _hankel_sum(z, 0.25)
 
 
@@ -93,16 +142,52 @@ def _scaled_i_quarter_pair(z: float) -> float:
     # (sqrt(2)/pi) K_{1/4}, e^{-2z} relative to the pair, so from _HANKEL_MIN
     # on the pair is twice the Hankel form of I_{1/4}
     if z < _HANKEL_MIN:
-        ive = _special().ive
-        return float(ive(-0.25, z) + ive(0.25, z))
+        i_minus, i_plus = _i_quarter_pair(z)
+        return (i_minus + i_plus) * math.exp(-z)
     return 2.0 / math.sqrt(2.0 * math.pi * z) * _hankel_sum(-z, 0.25)
 
 
 def _scaled_i_zero(z: float) -> float:
-    # e^{-z} I_0(z) for z >= 0; scipy's ive(0, z) is NaN from z ~ 5e9 on
+    # e^{-z} I_0(z) for z >= 0, by the power series as in _i_quarter_pair
     if z < _HANKEL_MIN:
-        return float(_special().ive(0.0, z))
+        q = 0.25 * z * z
+        term = total = 1.0
+        for ratio in _RATIO_ZERO:
+            term *= q * ratio
+            total += term
+            if term < 1e-17 * total:
+                break
+        return total * math.exp(-z)
     return _hankel_sum(-z, 0.0) / math.sqrt(2.0 * math.pi) / math.sqrt(z)
+
+
+# erfc(x) is normal up to x = 26.5; from _ERFCX_ASYMPTOTIC on, the asymptotic
+# series reaches double precision within 8 terms
+_ERFCX_ASYMPTOTIC = 26.0
+
+
+def _erfcx(x: float) -> float:
+    # e^{x^2} erfc(x) for x >= 0
+    if x < _ERFCX_ASYMPTOTIC:
+        # x^2 = sq + err exactly (Dekker's product), so e^{x^2} keeps its
+        # digits: rounding x^2 alone would cost x^2 ulp, 7e-14 at x = 26
+        c = 134217729.0 * x  # 2^27 + 1 splits x into two 26-bit halves
+        hi = c - (c - x)
+        lo = x - hi
+        sq = x * x
+        err = ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo
+        return math.erfc(x) * math.exp(sq) * (1.0 + err)
+    # (1/(x sqrt pi)) sum_k (-1)^k (2k - 1)!! / (2x^2)^k (DLMF 7.12.1)
+    t = 0.5 / x / x
+    total = 1.0
+    for k in range(8, 0, -1):
+        total = 1.0 - (2 * k - 1) * t * total
+    return total / (x * math.sqrt(math.pi))
+
+
+def _normal_cdf(x: float) -> float:
+    # Phi(x); x * sqrt(1/2) is how scipy's ndtr scales its argument too
+    return 0.5 * math.erfc(-x * math.sqrt(0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +244,20 @@ def _theta_minus_quadrature(alpha: float) -> float:
 
 
 def _chi_quadrature(alpha: float) -> float:
-    # the integrand peaks at both ends with width about 1/sqrt(alpha); as for
-    # the rings, breakpoints 12 widths in keep quad on both peaks (alpha > 14)
+    # (sqrt(1 + alpha)/pi) int_0^{2 pi} exp(-alpha (1 - cos p)) dp, taken as
+    # twice the half period [0, pi] with 1 - cos p = 2 sin^2(p/2): both other
+    # forms lose the peak at p = 2 pi to rounding (1 - cos p cancels; p itself
+    # is rounded), 1e-6 of the value at alpha = 1e12 and 1e20.  The peak at 0
+    # has width about 1/sqrt(alpha); a breakpoint 12 widths in keeps quad on
+    # it (alpha > 14).  The factor sqrt(1 + alpha) goes inside so that the
+    # integral stays near 1, far above epsabs
+    s = math.sqrt(1.0 + alpha)
     w = 12.0 / math.sqrt(alpha) if alpha > 0 else math.inf
-    pts = [w, math.pi, 2.0 * math.pi - w] if w < math.pi else [math.pi]
-    val = _quad(lambda p: math.exp(-alpha * (1.0 - math.cos(p))), 0.0, 2.0 * math.pi, pts)
-    return math.sqrt(1.0 + alpha) / math.pi * val
+    val = _quad(
+        lambda p: s * math.exp(-alpha * (2.0 * math.sin(0.5 * p) ** 2)),
+        0.0, math.pi, [w] if w < math.pi else None,
+    )
+    return 2.0 / math.pi * val
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +275,7 @@ def _check_alpha(alpha: float) -> float:
 
 
 def _psi_zero() -> float:
-    return float(_special().gamma(0.25)) / (2.0**1.25 * math.sqrt(math.pi))
+    return _GAMMA_1_4 / (2.0**1.25 * math.sqrt(math.pi))
 
 
 def psi_plus(alpha: float) -> float:
@@ -217,14 +310,14 @@ def theta_plus(alpha: float) -> float:
         math.sqrt(math.pi / 2.0)
         * (1.0 + alpha)
         * 0.5
-        * float(_special().erfcx(alpha / (2.0 * math.sqrt(2.0))))
+        * _erfcx(alpha / (2.0 * math.sqrt(2.0)))
     )
 
 
 def theta_minus(alpha: float) -> float:
     """Crossover function for a double-zero gate, split side."""
     alpha = _check_alpha(alpha)
-    return math.sqrt(math.pi / 2.0) * float(_special().ndtr(alpha / 2.0))
+    return math.sqrt(math.pi / 2.0) * _normal_cdf(alpha / 2.0)
 
 
 def chi(alpha: float) -> float:

@@ -952,3 +952,33 @@ print(json.dumps([codes, sorted(m for m in {SCIPY_SUBMODULES!r} if m in sys.modu
     assert (tmp_path / "rate" / "rate.json").exists()
     assert (tmp_path / "simulate" / "simulate.json").exists()
     assert json.loads((tmp_path / "classify" / "classify.json").read_text())[0]["tag"] == "Codim1"
+
+
+def test_degenerate_rate_simulate_sweep_and_table_load_no_scipy_submodule(fresh_interpreter, tmp_path):
+    # the crossover functions' closed forms need only math: rotated2's
+    # pitchfork at gamma = 1/2, every sweep scenario and the closed-form table
+    sq2 = repr(math.sqrt(2.0))
+    runs = {
+        "rate": ["rate", "--potential", "rotated2", "--params", "gamma=0.5",
+                 "--minimum-seed", "1.4,0.1", "--saddle-seed", "0,0", "--eps", "0.12,0.05"],
+        "simulate": ["simulate", "--potential", "rotated2", "--params", "gamma=0.5", "--eps", "0.35",
+                     f"--start=-{sq2},0", "--target", f"{sq2},0", "--saddle-seed=0.01,0.01",
+                     "--max-time", "60", "--replicas", "4", "--seed", "1"],
+        **{f"sweep_{scenario}": ["sweep", "--scenario", scenario, *grid]
+           for scenario, grid in _SWEEP_GRIDS.items()},
+        "tabulate": ["tabulate-special", "--route", "closed_form"],
+    }
+    calls = ",\n    ".join(f"main({[*argv, '--out', str(tmp_path / name)]!r})" for name, argv in runs.items())
+    code = f"""
+import json, sys, warnings
+from metastable.cli import main
+warnings.simplefilter("ignore")
+codes = [
+    {calls},
+]
+print(json.dumps([codes, sorted(m for m in {SCIPY_SUBMODULES!r} if m in sys.modules)]))
+"""
+    assert fresh_interpreter(code) == [[0] * len(runs), []]
+    rates = json.loads((tmp_path / "rate" / "rate.json").read_text())["results"]
+    assert {r["regime_tag"] for r in rates} == {"pitchfork-transverse"}
+    assert "prediction" in json.loads((tmp_path / "simulate" / "simulate.json").read_text())

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import special  # the oracle for the routines built from math alone
 from scipy.special import ndtr
 
+from metastable import crossover
 from metastable.crossover import (
     CROSSOVER_FUNCTIONS,
     chi,
@@ -204,3 +206,108 @@ def test_crossover_tabulation_grid():
     for name in CROSSOVER_FUNCTIONS:
         values = [evaluate(name, a).value for a in alphas]
         assert all(math.isfinite(v) and v > 0 for v in values)
+
+
+# ---------------------------------------------------------------------------
+# the special functions from math, against scipy.special as an oracle
+
+
+def _both_sides(x, width=1e-3, count=40):
+    # floats on both sides of a switch point x: its neighbours a few ulp
+    # away and a relative band of the given width
+    ulps = [x]
+    for _ in range(4):
+        ulps = [np.nextafter(ulps[0], 0.0), *ulps, np.nextafter(ulps[-1], np.inf)]
+    return np.concatenate([ulps, x * (1.0 + np.linspace(-width, width, count))])
+
+
+# every switch of the Bessel routines: the reflection formula of K_{1/4} gives
+# way to the trapezoidal rule at z = 1, the series to the Hankel sums at 20
+_BESSEL_Z = np.unique(np.concatenate([
+    np.geomspace(1e-300, crossover._HANKEL_MIN, 4000, endpoint=False),
+    _both_sides(crossover._K_TRAPEZOID_MIN),
+    _both_sides(crossover._HANKEL_MIN),
+    np.linspace(15.0, 40.0, 501),
+]))
+
+# name -> (routine, oracle, end of its domain): the single I_{-+1/4} values
+# come from the power series alone, which stops at _HANKEL_MIN
+_BESSEL_ORACLES = {
+    "e^z K_1/4": (crossover._scaled_k_quarter, lambda z: special.kve(0.25, z), math.inf),
+    "e^-z I_-1/4": (lambda z: crossover._i_quarter_pair(z)[0] * math.exp(-z),
+                    lambda z: special.ive(-0.25, z), crossover._HANKEL_MIN),
+    "e^-z I_1/4": (lambda z: crossover._i_quarter_pair(z)[1] * math.exp(-z),
+                   lambda z: special.ive(0.25, z), crossover._HANKEL_MIN),
+    "e^-z (I_-1/4 + I_1/4)": (crossover._scaled_i_quarter_pair,
+                              lambda z: special.ive(-0.25, z) + special.ive(0.25, z), math.inf),
+    "e^-z I_0": (crossover._scaled_i_zero, lambda z: special.ive(0.0, z), math.inf),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BESSEL_ORACLES))
+def test_bessel_routines_match_scipy(name):
+    # scipy's own fractional-order values are off by up to 7e-14 (against
+    # 40-digit mpmath); the routines here, by at most 2e-15
+    mine, oracle, end = _BESSEL_ORACLES[name]
+    z = _BESSEL_Z[_BESSEL_Z < end]
+    got = np.array([mine(float(x)) for x in z])
+    assert np.max(np.abs(got / oracle(z) - 1.0)) <= 1e-13
+
+
+def test_erfcx_matches_scipy():
+    x = np.unique(np.concatenate([
+        np.linspace(0.0, 40.0, 4001),
+        np.geomspace(1e-300, 1e300, 4000),
+        _both_sides(crossover._ERFCX_ASYMPTOTIC),
+    ]))
+    got = np.array([crossover._erfcx(float(v)) for v in x])
+    assert np.max(np.abs(got / special.erfcx(x) - 1.0)) <= 1e-13
+
+
+def test_normal_cdf_matches_scipy():
+    x = np.linspace(-40.0, 40.0, 8001)
+    got = np.array([crossover._normal_cdf(float(v)) for v in x])
+    expected = special.ndtr(x)
+    # below x ~ -37.5 both are subnormal or zero, with no relative precision
+    normal = expected >= sys.float_info.min
+    assert np.max(np.abs(got[normal] / expected[normal] - 1.0)) <= 1e-13
+    assert np.all(got[~normal] < sys.float_info.min)
+
+
+def test_gamma_constants_match_scipy_within_an_ulp():
+    # both constants are correctly rounded; math.gamma(0.25) is an ulp high
+    # and scipy's gamma(0.75) an ulp low
+    assert crossover._GAMMA_1_4 == pytest.approx(special.gamma(0.25), rel=2**-52, abs=0.0)
+    assert crossover._GAMMA_3_4 == pytest.approx(special.gamma(0.75), rel=2**-52, abs=0.0)
+
+
+# each crossover function's alpha at the switches of its special functions:
+# the psi limit below z = 1e-100, K_{1/4} at z = alpha^2/16 = 1, the Hankel
+# sums at z = 20, erfcx's asymptotic tail at alpha/(2 sqrt 2) = 26
+_SWITCHES = {
+    "psi_plus": [4e-50, 4.0, math.sqrt(16.0 * crossover._HANKEL_MIN)],
+    "psi_minus": [8e-50, math.sqrt(64.0 * crossover._HANKEL_MIN)],
+    "theta_plus": [2.0 * math.sqrt(2.0) * crossover._ERFCX_ASYMPTOTIC],
+    "chi": [crossover._HANKEL_MIN],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SWITCHES))
+def test_crossover_functions_are_continuous_across_the_switches(name):
+    fn = _ALL_REF[name][0]
+    for switch in _SWITCHES[name]:
+        alphas = _both_sides(switch, width=1e-12, count=8)
+        below = [fn(a) for a in alphas if a < switch]
+        above = [fn(a) for a in alphas if a > switch]
+        spread = max(abs(b / a - 1.0) for a in below for b in above)
+        assert spread <= 1e-13, (name, switch, spread)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(min_value=0.0, max_value=sys.float_info.max))
+@example(1e12)  # 1 - cos p cost the route 1e-6 here, and the p = 2 pi end 1e-6 at 1e20
+@example(1e20)
+@example(sys.float_info.max)
+def test_chi_quadrature_meets_criterion_2_at_every_alpha(alpha):
+    closed = evaluate("chi", alpha, route="closed_form").value
+    assert evaluate("chi", alpha, route="quadrature").value == pytest.approx(closed, rel=1e-7)

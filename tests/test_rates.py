@@ -464,8 +464,8 @@ EDGE_CASES = {
         SaddleSpec(0.5, PitchforkTransverse(_EDGE_W, 0.5), (2.0,), 1.25),
         RateResult(
             regime_tag="pitchfork-transverse", eps=0.01, barrier=0.75, saddle_value=0.5,
-            prefactor=1.4425614143361374, expected_time=5.385430854961433e32,
-            capacity_prefactor=0.0036392696558596423, capacity=7.019240795438984e-25,
+            prefactor=1.442561414336135, expected_time=5.385430854961424e32,
+            capacity_prefactor=0.003639269655859649, capacity=7.019240795438997e-25,
             dimension=3, error_order=_CROSSOVER_ERROR["|lambda2|"],
             notes=("at the upper crossover boundary lambda2 = sqrt(eps |log eps|); "
                    "classical-branch prefactor discrepancy 1.493e-01",),
@@ -480,9 +480,9 @@ EDGE_CASES = {
         ),
         RateResult(
             regime_tag="pitchfork-transverse-split", eps=0.01, barrier=0.7442435372675149,
-            saddle_value=0.4942435372675149, prefactor=0.8384858068814955,
-            expected_time=1.760280420668757e32, capacity_prefactor=0.006261131600346153,
-            capacity=2.1474780673751817e-24, dimension=3,
+            saddle_value=0.4942435372675149, prefactor=0.8384858068814953,
+            expected_time=1.7602804206687567e32, capacity_prefactor=0.006261131600346155,
+            capacity=2.1474780673751824e-24, dimension=3,
             error_order=_CROSSOVER_ERROR["|lambda2|"],
             notes=("at the lower crossover boundary lambda2 = -sqrt(eps |log eps|); "
                    "two-gate classical prefactor discrepancy 3.377e-02",),
@@ -494,8 +494,8 @@ EDGE_CASES = {
         SaddleSpec(0.5, PitchforkLongitudinal(-_EDGE_W, 0.5), (2.0, 3.0)),
         RateResult(
             regime_tag="pitchfork-longitudinal", eps=0.01, barrier=0.75, saddle_value=0.5,
-            prefactor=9.421467022126325, expected_time=3.5172616358458825e33,
-            capacity_prefactor=0.0005572242591921352, capacity=1.0747462051986375e-25,
+            prefactor=9.421467022126341, expected_time=3.517261635845888e33,
+            capacity_prefactor=0.0005572242591921343, capacity=1.0747462051986357e-25,
             dimension=3, error_order=_CROSSOVER_ERROR["|lambda1|"],
             notes=("at the crossover boundary |lambda1| = sqrt(eps |log eps|); "
                    "classical-branch prefactor discrepancy 1.493e-01",),
@@ -510,9 +510,9 @@ EDGE_CASES = {
         ),
         RateResult(
             regime_tag="pitchfork-longitudinal-split", eps=0.01, barrier=0.7557564627324851,
-            saddle_value=0.5057564627324851, prefactor=16.209033809537896,
-            expected_time=1.0760768066408533e34, capacity_prefactor=0.00032388543596092,
-            capacity=3.5129124356991794e-26, dimension=3,
+            saddle_value=0.5057564627324851, prefactor=16.209033809537903,
+            expected_time=1.0760768066408538e34, capacity_prefactor=0.00032388543596091997,
+            capacity=3.512912435699179e-26, dimension=3,
             error_order=_CROSSOVER_ERROR["|lambda1|"],
             notes=("at the crossover boundary lambda1 = sqrt(eps |log eps|); "
                    "two-gate series prefactor discrepancy 3.377e-02",),
