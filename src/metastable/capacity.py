@@ -42,6 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .crossover import _integrate
 from .landscape import StationaryPoint, codim1_coefficients, codim2_form
 from .potentials import PotentialModel, _grid_slabs, _grid_values, _slab_length
 
@@ -208,13 +209,9 @@ def default_box(
 def _checked_quad(
     f: Callable[[float], float], a: float, b: float, what: str, points=None
 ) -> float:
-    # imported here: scipy.integrate costs about 0.25 s of start-up, and
-    # only the reduced formula and the 1-d capacity integrate
-    from scipy.integrate import quad
-
-    value, err = quad(f, a, b, points=points, **_QUAD_OPTS)
+    value, err = _integrate(f, a, b, points=points, **_QUAD_OPTS)
     tol = max(1e-12, 1e-8 * abs(value))
-    if err > tol:
+    if not err <= tol:  # a NaN error is no convergence either
         raise RuntimeError(
             f"quadrature for {what} did not converge: achieved absolute error "
             f"{err:.3e} against tolerance {tol:.3e}"

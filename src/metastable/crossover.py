@@ -15,19 +15,23 @@ forms, valid for every ``alpha >= 0``.  Their special functions are computed
 here from :mod:`math` alone: the scaled Bessel functions by power series,
 the reflection formula and the trapezoidal rule below the argument z = 20
 and by their Hankel expansions from there on, erfcx from ``math.erfc`` and
-an asymptotic tail, and the normal cdf from ``math.erfc``.  So the closed
-forms import no scipy.  The quadrature routes import scipy.integrate on
-first use (a quarter of a second or more of start-up, which the closed
-forms do not pay).  The route is chosen in one place, :func:`evaluate`
-(``route="auto"`` is the closed form), and the quadrature route is the
-independent check on it.
+an asymptotic tail, and the normal cdf from ``math.erfc``.  The quadrature
+routes integrate with :func:`_integrate`, the adaptive Gauss-Kronrod scheme
+of QUADPACK (Piessens, de Doncker-Kapenga, Ueberhuber and Kahaner, 1983),
+which :mod:`metastable.capacity` and :mod:`metastable.rates` use for their
+one-dimensional integrals too.  So neither route imports scipy.  The route
+is chosen in one place, :func:`evaluate` (``route="auto"`` is the closed
+form), and the quadrature route is the independent check on it.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
+from operator import mul
 
 __all__ = [
     "CrossoverEval",
@@ -88,13 +92,24 @@ _K_NODES = tuple(
 )
 
 
-def _hankel_sum(z: float, nu: float) -> float:
+# (4 nu^2 - (2k - 1)^2, 8k) for k = 1..39: the ratio a_k(nu) / a_{k-1}(nu) of
+# the Hankel coefficients below is the first over the second times z; both
+# are exact floats, tabulated so that the loop forms no Python int
+def _hankel_table(nu: float) -> tuple[tuple[float, float], ...]:
+    return tuple((4.0 * nu * nu - (2 * k - 1) ** 2, 8.0 * k) for k in range(1, 40))
+
+
+_HANKEL_QUARTER = _hankel_table(0.25)
+_HANKEL_ZERO = _hankel_table(0.0)
+
+
+def _hankel_sum(z: float, table: tuple[tuple[float, float], ...]) -> float:
     # sum_k a_k(nu) / z^k of DLMF 10.40.1-2 (z < 0 gives the alternating
-    # sum), with a_k(nu) = prod_{j<=k} (4 nu^2 - (2j - 1)^2) / (k! 8^k)
-    four_nu2 = 4.0 * nu * nu
+    # sum), with a_k(nu) = prod_{j<=k} (4 nu^2 - (2j - 1)^2) / (k! 8^k) and
+    # nu's factors from _hankel_table
     total = term = 1.0
-    for k in range(1, 40):
-        term *= (four_nu2 - (2 * k - 1) ** 2) / (8.0 * k * z)
+    for numerator, eight_k in table:
+        term *= numerator / (eight_k * z)
         total += term
         if abs(term) < 1e-17 * abs(total):
             break
@@ -134,7 +149,7 @@ def _scaled_k_quarter(z: float) -> float:
                 break
             total += weight * math.exp(-z * c)
         return total
-    return math.sqrt(math.pi / (2.0 * z)) * _hankel_sum(z, 0.25)
+    return math.sqrt(math.pi / (2.0 * z)) * _hankel_sum(z, _HANKEL_QUARTER)
 
 
 def _scaled_i_quarter_pair(z: float) -> float:
@@ -144,7 +159,7 @@ def _scaled_i_quarter_pair(z: float) -> float:
     if z < _HANKEL_MIN:
         i_minus, i_plus = _i_quarter_pair(z)
         return (i_minus + i_plus) * math.exp(-z)
-    return 2.0 / math.sqrt(2.0 * math.pi * z) * _hankel_sum(-z, 0.25)
+    return 2.0 / math.sqrt(2.0 * math.pi * z) * _hankel_sum(-z, _HANKEL_QUARTER)
 
 
 def _scaled_i_zero(z: float) -> float:
@@ -158,7 +173,7 @@ def _scaled_i_zero(z: float) -> float:
             if term < 1e-17 * total:
                 break
         return total * math.exp(-z)
-    return _hankel_sum(-z, 0.0) / math.sqrt(2.0 * math.pi) / math.sqrt(z)
+    return _hankel_sum(-z, _HANKEL_ZERO) / math.sqrt(2.0 * math.pi) / math.sqrt(z)
 
 
 # erfc(x) is normal up to x = 26.5; from _ERFCX_ASYMPTOTIC on, the asymptotic
@@ -191,72 +206,187 @@ def _normal_cdf(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# quadrature routes (defining integrals, independent of the closed forms)
+# adaptive Gauss-Kronrod quadrature
 
 
-def _quad(f, a: float, b: float, points=None) -> float:
-    from scipy.integrate import quad
+# QUADPACK's 21-point Gauss-Kronrod rule (QK21) on [-1, 1]: the 10-point
+# Gauss-Legendre nodes, which keep their Kronrod weights too, and the 11
+# nodes Kronrod added between them, 0 among them.  Positive abscissae, in
+# descending order
+_GAUSS_X = (
+    0.973906528517171720077964012084452, 0.865063366688984510732096688423493,
+    0.679409568299024406234327365114874, 0.433395394129247190799265943165784,
+    0.148874338981631210884826001129720,
+)
+_GAUSS_W = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+_GAUSS_KW = (
+    0.032558162307964727478818972459390, 0.075039674810919952767043140916190,
+    0.109387158802297641899210590325805, 0.134709217311473325928054001771707,
+    0.147739104901338491374841515972068,
+)
+_KRONROD_X = (
+    0.995657163025808080735527280689003, 0.930157491355708226001207180059508,
+    0.780817726586416897063717578345042, 0.562757134668604683339000099272694,
+    0.294392862701460198131126603103866,
+)
+_KRONROD_W = (
+    0.011694638867371874278064396062192, 0.054755896574351996031381300244580,
+    0.093125454583697605535065465083366, 0.123491976262065851077208292355925,
+    0.142775938577060080797094273138717,
+)
+_KRONROD_W0 = 0.149445554002916905664936468389821
 
-    return quad(f, a, b, points=points, **_QUAD_OPTS)[0]
+# the 21 signed nodes, the Gauss ones first, with the Gauss weights of the
+# first ten and the Kronrod weights of all
+_GK_X = (*(v for x in _GAUSS_X for v in (x, -x)), *(v for x in _KRONROD_X for v in (x, -x)), 0.0)
+_G_W = tuple(w for w in _GAUSS_W for _ in (0, 1))
+_K_W = (*(w for w in _GAUSS_KW for _ in (0, 1)), *(w for w in _KRONROD_W for _ in (0, 1)), _KRONROD_W0)
+
+_EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min
+
+
+def _gk21(f, a: float, b: float) -> tuple[float, float]:
+    # (Kronrod value, error estimate) on [a, b], as QUADPACK's QK21: |K - G|
+    # scaled by the integrand's spread about its mean, and no less than
+    # 50 eps of the integral of |f|, the rounding in the sums
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    fv = [f(c + h * x) for x in _GK_X]
+    kronrod = sum(map(mul, _K_W, fv))
+    mean = 0.5 * kronrod
+    spread = h * sum(map(mul, _K_W, [abs(v - mean) for v in fv]))
+    err = h * abs(kronrod - sum(map(mul, _G_W, fv)))
+    if spread and err:
+        err = spread * min(1.0, 200.0 * err / spread) ** 1.5
+    # on a panel where f >= 0, the integral of |f| is the Kronrod sum itself
+    size = h * (kronrod if min(fv) >= 0.0 else sum(map(mul, _K_W, map(abs, fv))))
+    if size > _TINY / (50.0 * _EPS):
+        err = max(50.0 * _EPS * size, err)
+    return h * kronrod, err
+
+
+def _integrate(f, a: float, b: float, *, epsabs: float, epsrel: float, points=None, limit: int):
+    """``(value, abs_error)`` of the integral of the scalar ``f`` over ``a < b``.
+
+    The adaptive scheme of QUADPACK's QAG with the 21-point Gauss-Kronrod
+    rule.  The panels that ``points`` inside ``(a, b)`` cut are kept in a heap
+    by error estimate, and the worst is halved until the summed error is at
+    most ``max(epsabs, epsrel |value|)`` or ``limit`` panels exist.  A panel
+    too narrow to halve in floating point is kept as it is, with its error:
+    the returned error is the sum over every panel, so it never hides one.
+    """
+    edges = [a, *sorted(p for p in points or () if a < p < b), b]
+    heap = []
+    for lo, hi in zip(edges, edges[1:]):
+        value, err = _gk21(f, lo, hi)
+        heap.append((-err, lo, hi, value))
+    heapq.heapify(heap)
+    narrow = []
+    total = math.fsum(p[3] for p in heap)
+    errsum = math.fsum(-p[0] for p in heap)
+    while heap and errsum > max(epsabs, epsrel * abs(total)) and len(heap) + len(narrow) < limit:
+        neg_err, lo, hi, value = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        if max(abs(lo), abs(hi)) <= (1.0 + 100.0 * _EPS) * (abs(mid) + 1000.0 * _TINY):
+            narrow.append((neg_err, lo, hi, value))
+            continue
+        v1, e1 = _gk21(f, lo, mid)
+        v2, e2 = _gk21(f, mid, hi)
+        heapq.heappush(heap, (-e1, lo, mid, v1))
+        heapq.heappush(heap, (-e2, mid, hi, v2))
+        total += v1 + v2 - value
+        errsum += e1 + e2 + neg_err
+    heap += narrow
+    return math.fsum(p[3] for p in heap), math.fsum(-p[0] for p in heap)
+
+
+# ---------------------------------------------------------------------------
+# quadrature routes (defining integrals, independent of the closed forms).
+# The factor in front of each integral goes inside it, so that the integral
+# stays near 1, far above epsabs, at every alpha
 
 
 def _quartic_cut(alpha: float) -> float:
-    # y beyond which exp(-(y^4 + alpha y^2)/2) < 1e-18 of its peak at 0
+    # y beyond which exp(-(y^4 + alpha y^2)/2) < 1e-18 of its peak at 0; the
+    # root of y2^2 + alpha y2 = T in the form that neither cancels nor
+    # overflows with alpha^2
     T = 2.0 * _LOG_TRUNC
-    y2 = 0.5 * (-alpha + math.sqrt(alpha * alpha + 4.0 * T))
+    y2 = 2.0 * T / (alpha + math.hypot(alpha, 2.0 * math.sqrt(T)))
     return 1.2 * math.sqrt(y2) + 0.5
 
 
+def _peak_cut(alpha: float) -> list[float] | None:
+    # a peak at 0 of width about 1/sqrt(alpha): a breakpoint 12 widths in keeps
+    # the quadrature on it, where its first nodes would miss it (from alpha
+    # ~ 1e8 on for psi_plus and theta_plus, ~ 1e4 for chi)
+    return [12.0 / math.sqrt(alpha)] if alpha > 0 else None
+
+
 def _psi_plus_quadrature(alpha: float) -> float:
-    ymax = _quartic_cut(alpha)
-    val = _quad(lambda y: math.exp(-0.5 * (y**4 + alpha * y * y)), 0.0, ymax)
-    return math.sqrt((1.0 + alpha) / (2.0 * math.pi)) * 2.0 * val
-
-
-def _ring_cut(c: float) -> tuple[float, list[float] | None]:
-    # upper limit and breakpoints for exp(-(y^2 - c)^2/2), which peaks at
-    # sqrt(c) with width about 1/(2 sqrt(c)).  Without breakpoints 12/sqrt(c) to
-    # either side, quad misses one side of a narrow peak from alpha ~ 1e4 on.
-    # Only points inside (0, ymax) are kept: below c = 12 that is the peak alone
-    ymax = 1.1 * math.sqrt(c + math.sqrt(2.0 * _LOG_TRUNC) + 1.0) + 0.5
-    r = math.sqrt(c)
-    w = 12.0 / max(1.0, r)
-    return ymax, [p for p in (r - w, r, r + w) if 0.0 < p < ymax] or None
-
-
-def _psi_minus_quadrature(alpha: float) -> float:
-    c = alpha / 4.0
-    ymax, pts = _ring_cut(c)
-    val = _quad(lambda y: math.exp(-0.5 * (y * y - c) ** 2), 0.0, ymax, points=pts)
-    return math.sqrt((1.0 + alpha) / (2.0 * math.pi)) * 2.0 * val
+    s = 2.0 * math.sqrt((1.0 + alpha) / (2.0 * math.pi))
+    return _integrate(
+        lambda y: s * math.exp(-0.5 * y * y * (y * y + alpha)),
+        0.0, _quartic_cut(alpha), points=_peak_cut(alpha), **_QUAD_OPTS,
+    )[0]
 
 
 def _theta_plus_quadrature(alpha: float) -> float:
-    ymax = _quartic_cut(alpha)
-    val = _quad(lambda y: y * math.exp(-0.5 * (y**4 + alpha * y * y)), 0.0, ymax)
-    return (1.0 + alpha) * val
+    s = 1.0 + alpha
+    return _integrate(
+        lambda y: s * y * math.exp(-0.5 * y * y * (y * y + alpha)),
+        0.0, _quartic_cut(alpha), points=_peak_cut(alpha), **_QUAD_OPTS,
+    )[0]
+
+
+def _ring_cut(c: float) -> tuple[float, float, list[float]]:
+    # the ring integrands in exp(-(y^2 - c)^2/2) over y in [0, ymax] are taken
+    # in u = y - sqrt(c), where y^2 - c = u (2 sqrt(c) + u) does not cancel
+    # (it did from alpha ~ 4.5e9 on).  Returns sqrt(c), the upper limit in u
+    # and the breakpoints: the peak at u = 0 has width about 1/(2 sqrt(c)),
+    # and without breakpoints 12/sqrt(c) to either side the quadrature misses
+    # one side of it from alpha ~ 1e4 on
+    r = math.sqrt(c)
+    ymax = 1.1 * math.sqrt(c + math.sqrt(2.0 * _LOG_TRUNC) + 1.0) + 0.5
+    w = 12.0 / max(1.0, r)
+    return r, ymax - r, [-w, 0.0, w]
+
+
+def _psi_minus_quadrature(alpha: float) -> float:
+    s = 2.0 * math.sqrt((1.0 + alpha) / (2.0 * math.pi))
+    r, umax, pts = _ring_cut(alpha / 4.0)
+
+    def f(u: float) -> float:
+        q = u * (2.0 * r + u)
+        return s * math.exp(-0.5 * q * q)
+
+    return _integrate(f, -r, umax, points=pts, **_QUAD_OPTS)[0]
 
 
 def _theta_minus_quadrature(alpha: float) -> float:
-    c = alpha / 2.0
-    ymax, pts = _ring_cut(c)
-    return _quad(lambda y: y * math.exp(-0.5 * (y * y - c) ** 2), 0.0, ymax, points=pts)
+    r, umax, pts = _ring_cut(alpha / 2.0)
+
+    def f(u: float) -> float:
+        q = u * (2.0 * r + u)
+        return (r + u) * math.exp(-0.5 * q * q)
+
+    return _integrate(f, -r, umax, points=pts, **_QUAD_OPTS)[0]
 
 
 def _chi_quadrature(alpha: float) -> float:
     # (sqrt(1 + alpha)/pi) int_0^{2 pi} exp(-alpha (1 - cos p)) dp, taken as
     # twice the half period [0, pi] with 1 - cos p = 2 sin^2(p/2): both other
     # forms lose the peak at p = 2 pi to rounding (1 - cos p cancels; p itself
-    # is rounded), 1e-6 of the value at alpha = 1e12 and 1e20.  The peak at 0
-    # has width about 1/sqrt(alpha); a breakpoint 12 widths in keeps quad on
-    # it (alpha > 14).  The factor sqrt(1 + alpha) goes inside so that the
-    # integral stays near 1, far above epsabs
+    # is rounded), 1e-6 of the value at alpha = 1e12 and 1e20
     s = math.sqrt(1.0 + alpha)
-    w = 12.0 / math.sqrt(alpha) if alpha > 0 else math.inf
-    val = _quad(
+    val = _integrate(
         lambda p: s * math.exp(-alpha * (2.0 * math.sin(0.5 * p) ** 2)),
-        0.0, math.pi, [w] if w < math.pi else None,
-    )
+        0.0, math.pi, points=_peak_cut(alpha), **_QUAD_OPTS,
+    )[0]
     return 2.0 / math.pi * val
 
 
@@ -286,7 +416,7 @@ def psi_plus(alpha: float) -> float:
         return _psi_zero()
     scale = alpha * (1.0 + alpha) / (8.0 * math.pi)
     if scale == math.inf:  # alpha^2 overflows: the Hankel form with it cancelled
-        return math.sqrt(1.0 + 1.0 / alpha) * _hankel_sum(z, 0.25)
+        return math.sqrt(1.0 + 1.0 / alpha) * _hankel_sum(z, _HANKEL_QUARTER)
     return math.sqrt(scale) * _scaled_k_quarter(z)
 
 
@@ -298,7 +428,7 @@ def psi_minus(alpha: float) -> float:
         return _psi_zero()
     scale = math.pi * alpha * (1.0 + alpha) / 32.0
     if scale == math.inf:  # pi alpha^2 overflows: as in psi_plus
-        return 2.0 * math.sqrt(1.0 + 1.0 / alpha) * _hankel_sum(-z, 0.25)
+        return 2.0 * math.sqrt(1.0 + 1.0 / alpha) * _hankel_sum(-z, _HANKEL_QUARTER)
     return math.sqrt(scale) * _scaled_i_quarter_pair(z)
 
 
@@ -306,12 +436,15 @@ def theta_plus(alpha: float) -> float:
     """Crossover function for a double-zero gate, non-degenerate side."""
     alpha = _check_alpha(alpha)
     # sqrt(pi/2)(1+a) e^{a^2/8} Phi(-a/2) written with erfcx to avoid overflow
-    return (
+    value = (
         math.sqrt(math.pi / 2.0)
         * (1.0 + alpha)
         * 0.5
         * _erfcx(alpha / (2.0 * math.sqrt(2.0)))
     )
+    if value == math.inf:  # sqrt(pi/2)(1 + a) overflows: take erfcx's factor first
+        return math.sqrt(math.pi / 2.0) * 0.5 * ((1.0 + alpha) * _erfcx(alpha / (2.0 * math.sqrt(2.0))))
+    return value
 
 
 def theta_minus(alpha: float) -> float:

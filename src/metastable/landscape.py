@@ -428,6 +428,28 @@ def _discriminant_analysis(coeffs: np.ndarray, coeff_tol: float):
     return delta, count, simple, posdef
 
 
+# 1 - 1/phi for the golden ratio phi: where golden-section search cuts its bracket
+_GOLDEN_CUT = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+def _golden_section_min(f, lo: float, hi: float, xatol: float) -> float:
+    """Least value of ``f`` on ``[lo, hi]``, where it is unimodal, by golden-section
+    search: the bracket shrinks by the golden ratio per evaluation until it is
+    at most ``xatol`` wide, and the better interior point is always kept."""
+    x1, x2 = lo + _GOLDEN_CUT * (hi - lo), hi - _GOLDEN_CUT * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > xatol and lo < x1 < x2 < hi:  # or the bracket is a few ulp
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = lo + _GOLDEN_CUT * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = hi - _GOLDEN_CUT * (hi - lo)
+            f2 = f(x2)
+    return min(f1, f2)
+
+
 def _angular_extrema(quart: dict[str, float]) -> tuple[float, float]:
     qs = [quart[k] for k in _QUARTIC_LABELS]
 
@@ -438,17 +460,8 @@ def _angular_extrema(quart: dict[str, float]) -> tuple[float, float]:
     vals = k_of(grid)
     h = grid[1] - grid[0]
 
-    # imported here: scipy.optimize costs about 0.3 s of start-up, and only
-    # the codim-2 quartic analysis uses it
-    from scipy.optimize import minimize_scalar
-
     def refine(i, sign):
-        lo, hi = grid[i] - h, grid[i] + h
-        res = minimize_scalar(
-            lambda p: sign * k_of(p), bounds=(lo, hi), method="bounded",
-            options={"xatol": 1e-12},
-        )
-        return sign * res.fun
+        return sign * _golden_section_min(lambda p: sign * k_of(p), grid[i] - h, grid[i] + h, 1e-12)
 
     kmin = refine(int(np.argmin(vals)), +1.0)
     kmax = refine(int(np.argmax(vals)), -1.0)

@@ -31,7 +31,7 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence, Union
 
-from .crossover import chi, psi_minus, psi_plus, theta_minus, theta_plus
+from .crossover import _integrate, chi, psi_minus, psi_plus, theta_minus, theta_plus
 
 __all__ = [
     "MinimumSpec",
@@ -470,17 +470,13 @@ def _angular_mean(angular: AngularProfile, func: Callable[[float], float]) -> fl
             raise ValueError("angular profile must be strictly positive")
         return func(k)
 
-    # imported here: scipy.integrate costs about 0.25 s of start-up, and only
-    # a callable profile integrates
-    from scipy.integrate import quad
-
     def integrand(phi: float) -> float:
         k = float(angular(phi))
         if k <= 0.0:
             raise ValueError(f"angular profile must be strictly positive, got k({phi})={k}")
         return func(k)
 
-    value, _ = quad(integrand, 0.0, TWO_PI, epsabs=0.0, epsrel=1e-11, limit=200)
+    value, _ = _integrate(integrand, 0.0, TWO_PI, epsabs=0.0, epsrel=1e-11, limit=200)
     return value / TWO_PI
 
 

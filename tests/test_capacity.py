@@ -31,7 +31,7 @@ from metastable import (
     rotated_two_particle,
 )
 from metastable import potentials
-from metastable.capacity import _level, _simpson_weights, _tensor_w
+from metastable.capacity import _checked_quad, _level, _simpson_weights, _tensor_w
 from metastable.potentials import _SLAB_ROWS, _slab_length
 from metastable.cli import main
 
@@ -161,6 +161,21 @@ def test_capacity_1d_validation():
         capacity_1d_exact(lambda t: 0.0, 1.0, -1.0, 0.1)
     with pytest.raises(ValueError):
         capacity_1d_exact(lambda t: 0.0, -1.0, 1.0, 0.0)
+
+
+def test_capacity_1d_raises_when_its_quadrature_does_not_converge():
+    # exp(sin(1e4 t)/2) oscillates about 3200 times over the interval: 200
+    # panels of the 21-point rule cannot resolve it
+    with pytest.raises(RuntimeError, match="did not converge"):
+        capacity_1d_exact(lambda t: 0.05 * math.sin(1e4 * t), -1.0, 1.0, 0.1)
+
+
+def test_checked_quad_raises_on_a_panel_too_narrow_to_halve():
+    # a jump inside an interval 4096 ulp wide: the panel around it is kept
+    # once its midpoint rounds to an end, and its error still counts
+    jump = 1.0 + 2.0**-41 / 3.0
+    with pytest.raises(RuntimeError, match="did not converge"):
+        _checked_quad(lambda x: 1e6 if x < jump else 0.0, 1.0, 1.0 + 2.0**-40, "a step")
 
 
 # ---------------------------------------------------------------------------

@@ -982,3 +982,31 @@ print(json.dumps([codes, sorted(m for m in {SCIPY_SUBMODULES!r} if m in sys.modu
     rates = json.loads((tmp_path / "rate" / "rate.json").read_text())["results"]
     assert {r["regime_tag"] for r in rates} == {"pitchfork-transverse"}
     assert "prediction" in json.loads((tmp_path / "simulate" / "simulate.json").read_text())
+
+
+def test_quadrature_table_1d_verify_and_codim2_rate_load_no_scipy_submodule(fresh_interpreter, tmp_path):
+    # every one-dimensional integral goes through crossover._integrate: the
+    # quadrature routes, the exact 1-d capacity of verify and the rate at the
+    # 3-chain's double zero, whose angular extrema are found by golden-section
+    # search
+    runs = {
+        "tabulate": ["tabulate-special", "--route", "quadrature"],
+        "verify": ["verify", "--potential", "double_well", "--saddle-seed", "0", "--eps", "0.05"],
+        "rate": ["rate", "--potential", "chain", "--params", f"N=3,gamma={2 / 3}",
+                 "--minimum-seed=-1,-1,-1", "--saddle-seed", "0,0,0", "--eps", "0.1,0.05"],
+    }
+    calls = ",\n    ".join(f"main({[*argv, '--out', str(tmp_path / name)]!r})" for name, argv in runs.items())
+    code = f"""
+import json, sys
+from metastable.cli import main
+codes = [
+    {calls},
+]
+print(json.dumps([codes, sorted(m for m in {SCIPY_SUBMODULES!r} if m in sys.modules)]))
+"""
+    assert fresh_interpreter(code) == [[0] * len(runs), []]
+    table = (tmp_path / "tabulate" / "special.csv").read_text().splitlines()
+    assert len(table) > 1 and all(",quadrature" in row for row in table[1:])
+    (row,) = json.loads((tmp_path / "verify" / "verify.json").read_text())["results"]
+    assert row["exact_1d"] > 0.0
+    assert json.loads((tmp_path / "rate" / "rate.json").read_text())["classification"]["tag"] == "Codim2"

@@ -311,3 +311,73 @@ def test_crossover_functions_are_continuous_across_the_switches(name):
 def test_chi_quadrature_meets_criterion_2_at_every_alpha(alpha):
     closed = evaluate("chi", alpha, route="closed_form").value
     assert evaluate("chi", alpha, route="quadrature").value == pytest.approx(closed, rel=1e-7)
+
+
+@pytest.mark.parametrize("name", ["psi_plus", "psi_minus", "theta_plus", "theta_minus"])
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.floats(min_value=0.0, max_value=sys.float_info.max))
+@example(alpha=1e8)  # psi_plus and theta_plus returned about 0 from here on
+@example(alpha=1e10)  # y^2 - c cancelled for psi_minus and theta_minus from 4.5e9 on
+@example(alpha=1e14)
+@example(alpha=sys.float_info.max)
+def test_quadrature_routes_meet_criterion_2_at_every_alpha(name, alpha):
+    closed = evaluate(name, alpha, route="closed_form").value
+    assert math.isfinite(closed)
+    assert evaluate(name, alpha, route="quadrature").value == pytest.approx(closed, rel=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# the adaptive Gauss-Kronrod routine of the quadrature routes
+
+
+def test_gauss_half_of_the_kronrod_rule_is_gauss_legendre():
+    nodes, weights = np.polynomial.legendre.leggauss(len(crossover._GAUSS_X) * 2)
+    upper = nodes > 0.0  # leggauss sorts ascending; the literals descend
+    np.testing.assert_allclose(crossover._GAUSS_X, nodes[upper][::-1], rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(crossover._GAUSS_W, weights[upper][::-1], rtol=0.0, atol=1e-15)
+
+
+def test_kronrod_rule_integrates_polynomials_up_to_degree_3n_plus_1():
+    # n Gauss nodes extended to 2n + 1 Kronrod nodes integrate x^k exactly
+    # for k <= 3n + 1; a mistyped node or weight breaks one of these
+    n = 2 * len(crossover._GAUSS_X)
+    for k in range(3 * n + 2):
+        value, _ = crossover._gk21(lambda x: x**k, -1.0, 1.0)
+        exact = 0.0 if k % 2 else 2.0 / (k + 1)
+        assert value == pytest.approx(exact, rel=1e-14, abs=1e-16), k
+
+
+_SIGMA = 1e-3
+_KNOWN_INTEGRALS = {
+    # a narrow Gaussian off the panel centre, found by the first nodes alone
+    "wide gaussian": (lambda x: math.exp(-0.5 * (x / (10 * _SIGMA)) ** 2), -1.0, 2.0, None,
+                      10 * _SIGMA * math.sqrt(2.0 * math.pi) * math.erf(1.0 / (10 * _SIGMA * math.sqrt(2.0)))),
+    # ten times narrower, which the first nodes would miss, with a breakpoint on it
+    "narrow gaussian": (lambda x: math.exp(-0.5 * (x / _SIGMA) ** 2), -1.0, 2.0, [0.0],
+                        _SIGMA * math.sqrt(2.0 * math.pi)),
+    "sine": (math.sin, 0.0, math.pi, None, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KNOWN_INTEGRALS))
+@pytest.mark.parametrize("epsrel", [1e-6, 1e-10, 1e-13])
+def test_integrate_reports_at_least_its_true_error(name, epsrel):
+    f, a, b, points, exact = _KNOWN_INTEGRALS[name]
+    value, err = crossover._integrate(f, a, b, epsabs=0.0, epsrel=epsrel, points=points, limit=200)
+    assert abs(value - exact) <= err <= max(epsrel * abs(value), 1e-14 * abs(exact))
+
+
+def test_integrate_stops_on_panels_too_narrow_to_halve():
+    # a jump inside an interval a few thousand ulp wide: the panel around it
+    # is halved until its midpoint rounds to an end, then kept with its error
+    a, b, jump = 1.0, 1.0 + 2.0**-40, 1.0 + 2.0**-41 / 3.0
+    calls = []
+
+    def step(x):
+        calls.append(x)
+        return 1e6 if x < jump else 0.0
+
+    value, err = crossover._integrate(step, a, b, epsabs=0.0, epsrel=0.0, limit=10_000)
+    assert len(calls) < 21 * 100  # a few dozen halvings, far from the panel limit
+    assert abs(value - 1e6 * (jump - a)) <= err
+    assert err > 1e-12

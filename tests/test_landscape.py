@@ -353,6 +353,26 @@ def test_codim2_form_chain4_angular_extrema():
     assert vals.max() <= nf.K_plus + 1e-9
 
 
+def test_angular_extrema_of_the_chain3_constant_profile(chain3_critical):
+    # k(phi) is 1/8 up to rounding, so the search returns 1/8 up to rounding
+    qs = landscape._soft_block(chain3_critical, StationaryPoint.at(chain3_critical, np.zeros(3)))[1]
+    kmin, kmax = landscape._angular_extrema(landscape._binary_form(qs))
+    assert kmin == pytest.approx(0.125, rel=1e-14, abs=0.0)
+    assert kmax == pytest.approx(0.125, rel=1e-14, abs=0.0)
+    assert kmin <= kmax
+
+
+def test_angular_extrema_of_an_anisotropic_quartic_match_a_fine_scan():
+    # two minima and two maxima of different depths; a 2^20-point scan puts
+    # its extrema within |k''| (pi 2^-20)^2 ~ 1e-10 of the true ones, and the
+    # search, to 1e-12 in phi, lands at least as far out as the scan
+    coeffs = (1.0, 0.3, -0.4, 0.2, 0.5)
+    kmin, kmax = landscape._angular_extrema(dict(zip(landscape._QUARTIC_LABELS, coeffs)))
+    scan = landscape._binary_quartic(coeffs, np.linspace(0.0, 2.0 * math.pi, 2**20, endpoint=False))
+    assert scan.min() - 1e-10 <= kmin <= scan.min() + 1e-15
+    assert scan.max() - 1e-15 <= kmax <= scan.max() + 1e-10
+
+
 def test_codim2_form_rejects_cubic_null_terms():
     model = poly(3, ((0, 0, 2), -0.5), ((3, 0, 0), 1.0), ((4, 0, 0), 0.25))
     pt = StationaryPoint.at(model, np.zeros(3))
