@@ -13,8 +13,8 @@ import warnings
 import numpy as np
 
 from metastable import (
+    UNIT_MINIMUM,
     FlatStable,
-    MinimumSpec,
     Quadratic,
     SaddleSpec,
     default_box,
@@ -25,8 +25,6 @@ from metastable import (
     find_stationary_points,
     rotated_two_particle,
 )
-
-UNIT_MINIMUM = MinimumSpec(value=0.0, hessian_det=1.0)
 
 
 def closed_capacity(gamma, saddle_value, eps):

@@ -396,7 +396,7 @@ def _chi_quadrature(alpha: float) -> float:
 
 def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
-    if alpha < 0:
+    if not alpha >= 0:  # NaN too
         raise ValueError(
             f"crossover functions take alpha >= 0, got {alpha}; "
             "map negative eigenvalues through the appropriate case split first"
@@ -490,5 +490,7 @@ def evaluate(name: str, alpha: float, route: str = "auto") -> CrossoverEval:
             f"unknown crossover function {name!r}; choose from {sorted(CROSSOVER_FUNCTIONS)}"
         ) from None
     alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise ValueError(f"crossover functions are tabulated at finite alpha, got {alpha}")
     route = "closed_form" if route == "auto" else route
     return CrossoverEval(alpha=alpha, value=fn(alpha, route), route=route)

@@ -170,6 +170,10 @@ def find_stationary_points(
         seed = np.asarray(seed, dtype=float)
         if not np.all(np.isfinite(seed)):
             raise ValueError(f"seed {k} is not finite: {seed}")
+        if seed.size != model.dim:
+            raise ValueError(
+                f"seed {k} has dimension {seed.size}, the potential has dimension {model.dim}"
+            )
         x = _newton_zero(model.gradient, model.hessian, seed, tol * 1e-3)
         gnorm = float(np.linalg.norm(model.gradient(x)))
         if not np.all(np.isfinite(x)) or not gnorm <= tol:
@@ -428,44 +432,23 @@ def _discriminant_analysis(coeffs: np.ndarray, coeff_tol: float):
     return delta, count, simple, posdef
 
 
-# 1 - 1/phi for the golden ratio phi: where golden-section search cuts its bracket
-_GOLDEN_CUT = (3.0 - math.sqrt(5.0)) / 2.0
-
-
-def _golden_section_min(f, lo: float, hi: float, xatol: float) -> float:
-    """Least value of ``f`` on ``[lo, hi]``, where it is unimodal, by golden-section
-    search: the bracket shrinks by the golden ratio per evaluation until it is
-    at most ``xatol`` wide, and the better interior point is always kept."""
-    x1, x2 = lo + _GOLDEN_CUT * (hi - lo), hi - _GOLDEN_CUT * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > xatol and lo < x1 < x2 < hi:  # or the bracket is a few ulp
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = lo + _GOLDEN_CUT * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = hi - _GOLDEN_CUT * (hi - lo)
-            f2 = f(x2)
-    return min(f1, f2)
-
-
 def _angular_extrema(quart: dict[str, float]) -> tuple[float, float]:
+    """Least and greatest value of the angular profile ``k(phi)``.
+
+    ``k'(phi)`` is again a binary quartic, with coefficients
+    ``d_j = (j+1) q_{j+1} - (5-j) q_{j-1}`` (``q_{-1} = q_5 = 0``), so every
+    critical angle is ``pi/2`` or ``arctan`` of a root of ``sum_j d_j t^j``.
+    Every candidate is an angle on the circle, so a complex root's real part
+    needs no test for being real.  A coefficient below the rounding of the
+    largest is set to 0, within ``np.roots``' own backward error: left in as the
+    leading one, it overflows or swamps the companion matrix.
+    """
     qs = [quart[k] for k in _QUARTIC_LABELS]
-
-    def k_of(phi):
-        return _binary_quartic(qs, phi)
-
-    grid = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
-    vals = k_of(grid)
-    h = grid[1] - grid[0]
-
-    def refine(i, sign):
-        return sign * _golden_section_min(lambda p: sign * k_of(p), grid[i] - h, grid[i] + h, 1e-12)
-
-    kmin = refine(int(np.argmin(vals)), +1.0)
-    kmax = refine(int(np.argmax(vals)), -1.0)
-    return float(kmin), float(kmax)
+    q = (0.0, *qs, 0.0)
+    d = np.array([(j + 1) * q[j + 2] - (5 - j) * q[j] for j in range(4, -1, -1)])
+    d[np.abs(d) <= np.finfo(float).eps * np.abs(d).max()] = 0.0
+    k = _binary_quartic(qs, np.append(np.arctan(np.roots(d).real), 0.5 * np.pi))
+    return float(k.min()), float(k.max())
 
 
 def codim2_form(model: PotentialModel, point: StationaryPoint) -> NormalFormCodim2:
@@ -534,11 +517,7 @@ def _classify_codim1(model, point, probe_higher) -> SaddleClass:
     if abs(nf.C3) > tol:
         return SaddleClass(SaddleTag.CODIM1, Verdict.NOT_SADDLE, nf)
     if abs(nf.C4) > tol:
-        if unstable_present:
-            verdict = Verdict.SADDLE if nf.C4 > 0 else Verdict.NOT_SADDLE
-        else:
-            verdict = Verdict.SADDLE if nf.C4 < 0 else Verdict.NOT_SADDLE
-        return SaddleClass(SaddleTag.CODIM1, verdict, nf)
+        return SaddleClass(SaddleTag.CODIM1, _even_order_verdict(nf.C4, unstable_present), nf)
 
     if not probe_higher:
         return SaddleClass(
@@ -558,12 +537,16 @@ def _classify_codim1(model, point, probe_higher) -> SaddleClass:
         )
     nf.higher = (order, coeff)
     if order % 2 == 1:
-        verdict = Verdict.NOT_SADDLE
-    elif unstable_present:
-        verdict = Verdict.SADDLE if coeff > 0 else Verdict.NOT_SADDLE
-    else:
-        verdict = Verdict.SADDLE if coeff < 0 else Verdict.NOT_SADDLE
-    return SaddleClass(SaddleTag.CODIM1, verdict, nf)
+        return SaddleClass(SaddleTag.CODIM1, Verdict.NOT_SADDLE, nf)
+    return SaddleClass(SaddleTag.CODIM1, _even_order_verdict(coeff, unstable_present), nf)
+
+
+def _even_order_verdict(coeff: float, unstable_present: bool) -> Verdict:
+    """A soft direction whose first nonvanishing coefficient has even order
+    makes a saddle iff that coefficient is positive beside a quadratic unstable
+    direction, or negative without one."""
+    saddle = coeff > 0 if unstable_present else coeff < 0
+    return Verdict.SADDLE if saddle else Verdict.NOT_SADDLE
 
 
 def _probe_soft_direction(model, point, i0, max_order: int = 8):

@@ -920,6 +920,8 @@ def _sweep(
     rows = []
     for control in values:
         control = float(control)
+        if not math.isfinite(control):
+            raise ValueError(f"sweep control values must be finite, got {control}")
         result = closed_rate(UNIT_MINIMUM, saddle_at(control), eps)
         rows.append({
             "control_parameter": control,

@@ -88,10 +88,13 @@ def default_dt(model: PotentialModel, eps: float, points: Sequence) -> float:
     start and the target centers), so the step resolves both the local
     relaxation times and the noise scale.
     """
-    lam = max(
-        float(np.max(np.abs(np.linalg.eigvalsh(model.hessian(np.asarray(p, dtype=float))))))
-        for p in points
-    )
+    points = [np.asarray(p, dtype=float) for p in points]
+    for p in points:
+        if p.size != model.dim:
+            raise ValueError(
+                f"point {p.tolist()} has dimension {p.size}, the potential has dimension {model.dim}"
+            )
+    lam = max(float(np.max(np.abs(np.linalg.eigvalsh(model.hessian(p))))) for p in points)
     return min(1e-3, eps / (20.0 * lam))
 
 

@@ -239,6 +239,23 @@ def test_rate_without_eps_exits_1(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--potential", "double_well", "--seeds", "0,0"],
+        ["rate", "--potential", "rotated2", "--params", "gamma=0.75", "--minimum-seed=1",
+         "--saddle-seed=0,0", "--eps", "0.1"],
+        ["simulate", "--potential", "double_well", "--start=-1,0", "--target", "1",
+         "--max-time", "1", "--replicas", "2", "--eps", "0.3"],
+    ],
+    ids=["classify", "rate", "simulate"],
+)
+def test_a_seed_of_the_wrong_dimension_exits_1_naming_both(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "dimension" in err, err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -325,6 +342,14 @@ def test_huge_eps_exits_0_or_2_without_a_traceback(tmp_path, capsys, argv):
     assert "Traceback" not in err
     if code == 2:
         assert len(err.splitlines()) == 1 and ": out of range: " in err
+
+
+@pytest.mark.parametrize("control", ["nan", "inf"])
+def test_sweep_rejects_a_non_finite_control_value(tmp_path, capsys, control):
+    code = run(tmp_path, "sweep", "--scenario", "transverse", "--grid", control, "--eps", "0.1")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"sweep control values must be finite, got {control}" in err, err
 
 
 def test_sweep_json_format(tmp_path):
@@ -677,6 +702,14 @@ def test_tabulate_special_past_the_overflow_of_alpha_squared(tmp_path):
     assert (values["psi_plus"], values["psi_minus"]) == (1.0, 2.0)
 
 
+@pytest.mark.parametrize("route", ["closed_form", "quadrature"])
+def test_tabulate_special_rejects_a_non_finite_alpha(tmp_path, capsys, route):
+    for alpha in ("nan", "inf"):
+        assert run(tmp_path, "tabulate-special", "--alphas", alpha, "--route", route) == 1
+        assert f"finite alpha, got {alpha}" in capsys.readouterr().err
+    assert not (tmp_path / "special.csv").exists()
+
+
 def test_tabulate_json_format(tmp_path):
     code = run(tmp_path, "tabulate-special", "--alphas", "1.0", "--format", "json")
     assert code == 0
@@ -987,8 +1020,8 @@ print(json.dumps([codes, sorted(m for m in {SCIPY_SUBMODULES!r} if m in sys.modu
 def test_quadrature_table_1d_verify_and_codim2_rate_load_no_scipy_submodule(fresh_interpreter, tmp_path):
     # every one-dimensional integral goes through crossover._integrate: the
     # quadrature routes, the exact 1-d capacity of verify and the rate at the
-    # 3-chain's double zero, whose angular extrema are found by golden-section
-    # search
+    # 3-chain's double zero, whose angular extrema come from the roots of the
+    # profile's derivative (np.roots)
     runs = {
         "tabulate": ["tabulate-special", "--route", "quadrature"],
         "verify": ["verify", "--potential", "double_well", "--saddle-seed", "0", "--eps", "0.05"],

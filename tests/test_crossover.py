@@ -124,8 +124,9 @@ def test_large_alpha_limits():
 
 def test_negative_alpha_rejected():
     for fn in (psi_plus, psi_minus, theta_plus, theta_minus, chi):
-        with pytest.raises(ValueError):
-            fn(-0.1)
+        for alpha in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="alpha >= 0"):
+                fn(alpha)
 
 
 def test_evaluate_records_route():

@@ -1,5 +1,6 @@
 """Tests for stationary-point search, classification, and the 2-D gate oracle."""
 
+import functools
 import json
 import math
 import tracemalloc
@@ -7,7 +8,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -354,7 +355,7 @@ def test_codim2_form_chain4_angular_extrema():
 
 
 def test_angular_extrema_of_the_chain3_constant_profile(chain3_critical):
-    # k(phi) is 1/8 up to rounding, so the search returns 1/8 up to rounding
+    # k(phi) is 1/8 up to rounding, so its values at the candidate angles are too
     qs = landscape._soft_block(chain3_critical, StationaryPoint.at(chain3_critical, np.zeros(3)))[1]
     kmin, kmax = landscape._angular_extrema(landscape._binary_form(qs))
     assert kmin == pytest.approx(0.125, rel=1e-14, abs=0.0)
@@ -362,13 +363,26 @@ def test_angular_extrema_of_the_chain3_constant_profile(chain3_critical):
     assert kmin <= kmax
 
 
-def test_angular_extrema_of_an_anisotropic_quartic_match_a_fine_scan():
-    # two minima and two maxima of different depths; a 2^20-point scan puts
-    # its extrema within |k''| (pi 2^-20)^2 ~ 1e-10 of the true ones, and the
-    # search, to 1e-12 in phi, lands at least as far out as the scan
-    coeffs = (1.0, 0.3, -0.4, 0.2, 0.5)
+@functools.cache
+def _fine_scan_monomials():
+    """``cos^(4-k) sin^k`` on 2^20 equally spaced angles, one row per quartic label."""
+    phi = np.linspace(0.0, 2.0 * math.pi, 2**20, endpoint=False)
+    c, s = np.cos(phi), np.sin(phi)
+    return np.stack([c ** (4 - k) * s**k for k in range(5)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(*[st.floats(-1.0, 1.0)] * 5))
+@example((1.0, 0.3, -0.4, 0.2, 0.5))  # two minima and two maxima of different depths
+@example((0.125, 0.0, 0.25, 0.0, 0.125))  # c (cos^2 + sin^2)^2: the constant c = 1/8
+@example((1.0, 0.0, -2.0, 0.0, 1.0))  # cos(2 phi)^2: the minimum 0 is a double root of k
+@example((1.0, 0.0, 0.0, 0.0, 0.0))  # cos^4: the minimum is at pi/2 itself
+def test_angular_extrema_of_an_anisotropic_quartic_match_a_fine_scan(coeffs):
+    # on [-1, 1]^5, |k''| < 12, so a 2^20-point scan puts its extrema within
+    # |k''| (pi 2^-20)^2 / 2 < 1e-10 of the true ones; the critical angles from
+    # the roots of k' land at least as far out as the scan, up to rounding
     kmin, kmax = landscape._angular_extrema(dict(zip(landscape._QUARTIC_LABELS, coeffs)))
-    scan = landscape._binary_quartic(coeffs, np.linspace(0.0, 2.0 * math.pi, 2**20, endpoint=False))
+    scan = np.asarray(coeffs) @ _fine_scan_monomials()
     assert scan.min() - 1e-10 <= kmin <= scan.min() + 1e-15
     assert scan.max() - 1e-15 <= kmax <= scan.max() + 1e-10
 
