@@ -432,22 +432,37 @@ def _discriminant_analysis(coeffs: np.ndarray, coeff_tol: float):
     return delta, count, simple, posdef
 
 
+def _quartic_derivative(qs) -> np.ndarray:
+    """Coefficients ``(j+1) q_{j+1} - (5-j) q_{j-1}`` (``q_{-1} = q_5 = 0``) of
+    ``d/dphi sum_k q_k cos(phi)**(4-k) sin(phi)**k``, again a binary quartic."""
+    q = (0.0, *qs, 0.0)
+    return np.array([(j + 1) * q[j + 2] - (5 - j) * q[j] for j in range(5)])
+
+
 def _angular_extrema(quart: dict[str, float]) -> tuple[float, float]:
     """Least and greatest value of the angular profile ``k(phi)``.
 
-    ``k'(phi)`` is again a binary quartic, with coefficients
-    ``d_j = (j+1) q_{j+1} - (5-j) q_{j-1}`` (``q_{-1} = q_5 = 0``), so every
+    ``k'(phi)`` is again a binary quartic with coefficients ``d_j``, so every
     critical angle is ``pi/2`` or ``arctan`` of a root of ``sum_j d_j t^j``.
     Every candidate is an angle on the circle, so a complex root's real part
     needs no test for being real.  A coefficient below the rounding of the
     largest is set to 0, within ``np.roots``' own backward error: left in as the
-    leading one, it overflows or swamps the companion matrix.
+    leading one, it overflows or swamps the companion matrix.  A small leading
+    coefficient above that cut still moves the other roots by up to ~1e-7, so two
+    Newton steps on ``k'(phi)`` polish every angle; their iterates join the
+    candidates, and a step that goes astray only adds one more value of ``k``.
     """
     qs = [quart[k] for k in _QUARTIC_LABELS]
-    q = (0.0, *qs, 0.0)
-    d = np.array([(j + 1) * q[j + 2] - (5 - j) * q[j] for j in range(4, -1, -1)])
-    d[np.abs(d) <= np.finfo(float).eps * np.abs(d).max()] = 0.0
-    k = _binary_quartic(qs, np.append(np.arctan(np.roots(d).real), 0.5 * np.pi))
+    d = _quartic_derivative(qs)
+    dd = _quartic_derivative(d)
+    lead = np.where(np.abs(d) <= np.finfo(float).eps * np.abs(d).max(), 0.0, d)
+    phi = np.append(np.arctan(np.roots(lead[::-1]).real), 0.5 * np.pi)
+    candidates = [phi]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(2):
+            phi = phi - _binary_quartic(d, phi) / _binary_quartic(dd, phi)
+            candidates.append(phi[np.isfinite(phi)])
+    k = _binary_quartic(qs, np.concatenate(candidates))
     return float(k.min()), float(k.max())
 
 
