@@ -435,6 +435,8 @@ def psi_minus(alpha: float) -> float:
 def theta_plus(alpha: float) -> float:
     """Crossover function for a double-zero gate, non-degenerate side."""
     alpha = _check_alpha(alpha)
+    if alpha == math.inf:  # the limit; the form below is inf * 0 there
+        return 1.0
     # sqrt(pi/2)(1+a) e^{a^2/8} Phi(-a/2) written with erfcx to avoid overflow
     value = (
         math.sqrt(math.pi / 2.0)
@@ -456,6 +458,8 @@ def theta_minus(alpha: float) -> float:
 def chi(alpha: float) -> float:
     """Crossover function for a rotationally symmetric ring of gates."""
     alpha = _check_alpha(alpha)
+    if alpha == math.inf:  # the limit; the form below is inf * 0 there
+        return math.sqrt(2.0 / math.pi)
     return 2.0 * math.sqrt(1.0 + alpha) * _scaled_i_zero(alpha)
 
 

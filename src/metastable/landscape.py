@@ -790,8 +790,6 @@ class GateResult:
 
 
 _NEIGHBORS_8 = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
-_BLOCK_8 = np.ones((3, 3), dtype=bool)
-_RING_8 = np.array([[1, 1, 1], [1, 0, 1], [1, 1, 1]], dtype=bool)
 
 
 def communication_height_2d(model: PotentialModel, a, b, grid) -> GateResult:
@@ -877,8 +875,6 @@ def communication_height_2d(model: PotentialModel, a, b, grid) -> GateResult:
     ca, cb = comp[la], comp[lb]
     gate_cells = []
     if ca > 0 and cb > 0:
-        from scipy import ndimage  # imported here, as in _label8
-
         lo = (max(corner[0] - 1, 0), max(corner[1] - 1, 0))
         hi = (min(box[0].stop + 1, g.nx), min(box[1].stop + 1, g.ny))
         grown = (slice(lo[0], hi[0]), slice(lo[1], hi[1]))
@@ -886,7 +882,7 @@ def communication_height_2d(model: PotentialModel, a, b, grid) -> GateResult:
         padded = np.zeros(gate.shape, dtype=comp.dtype)
         padded[_box((corner[0] - lo[0], corner[1] - lo[1]), comp.shape)] = comp
         for c in (ca, cb):
-            gate &= ndimage.binary_dilation(padded == c, structure=_RING_8)
+            gate &= _touching(padded == c)
         gate_cells = [np.array([xs[i + lo[0]], ys[j + lo[1]]]) for i, j in zip(*np.nonzero(gate))]
     if not gate_cells:
         # degenerate fallback (e.g. endpoint at the gate level): use the trigger cell
@@ -909,11 +905,58 @@ def communication_height_2d(model: PotentialModel, a, b, grid) -> GateResult:
 
 
 def _label8(mask: np.ndarray) -> np.ndarray:
-    # imported here: ndimage adds about 40 ms to every start-up, and only the
-    # gate search uses it
-    from scipy import ndimage
+    """The 8-connected components of ``mask``, numbered from 1 in raster order
+    of their first cell, and 0 off the mask: the array of
+    ``ndimage.label(mask, np.ones((3, 3)))[0]``.
 
-    return ndimage.label(mask, structure=_BLOCK_8)[0]
+    Each row's cells form runs, and a run meets a run of the next row when
+    their columns overlap or touch at a corner.  Every root run is hooked
+    under the smallest root it meets, and pointers are jumped until each run
+    points at its root; this repeats until no meeting pair has two roots.  So
+    a component's root is its first run in raster order, which gives the
+    numbering.
+    """
+    nx, ny = mask.shape
+    width = ny + 1
+    padded = np.zeros((nx, ny + 2), dtype=bool)
+    padded[:, 1:-1] = mask
+    # run bounds keyed row * width + column: starts and exclusive stops
+    # alternate, in raster order
+    bounds = np.flatnonzero(padded[:, 1:] != padded[:, :-1])
+    start, stop = bounds[::2], bounds[1::2]
+    # the next row's runs that a run meets are one index range: those that
+    # stop after its start column and start at or before its stop column
+    first = np.searchsorted(stop, start + width, side="left")
+    count = np.maximum(np.searchsorted(start, stop + width, side="right") - first, 0)
+    u = np.repeat(np.arange(start.size), count)
+    v = np.arange(u.size) + np.repeat(first - np.cumsum(count) + count, count)
+    parent = np.arange(start.size)
+    while u.size:
+        np.minimum.at(parent, np.maximum(u, v), np.minimum(u, v))
+        while True:
+            up = parent[parent]
+            if (up == parent).all():
+                break
+            parent = up
+        u, v = parent[u], parent[v]
+        joins = u != v
+        u, v = u[joins], v[joins]
+    labels = np.zeros(bounds.size + 1, dtype=np.int32)
+    labels[1::2] = np.cumsum(parent == np.arange(parent.size), dtype=np.int32)[parent]
+    # the lengths of the gaps and runs between the bounds, in flat order
+    flat = bounds - np.repeat(start // width, 2)
+    return np.repeat(labels, np.diff(flat, prepend=0, append=mask.size)).reshape(nx, ny)
+
+
+def _touching(mask: np.ndarray) -> np.ndarray:
+    """The cells with an 8-neighbour in ``mask``."""
+    nx, ny = mask.shape
+    out = np.zeros_like(mask)
+    for di, dj in _NEIGHBORS_8:
+        src = (slice(max(0, -di), nx - max(0, di)), slice(max(0, -dj), ny - max(0, dj)))
+        dst = (slice(max(0, di), nx + min(0, di)), slice(max(0, dj), ny + min(0, dj)))
+        out[dst] |= mask[src]
+    return out
 
 
 def _box(corner, shape) -> tuple[slice, slice]:
@@ -997,36 +1040,43 @@ def _first_connecting_cell(V: np.ndarray, ja, jb):
 
 
 def _bfs_path(mask: np.ndarray, start, goal) -> tuple[np.ndarray, np.ndarray]:
-    """Cells of a BFS path from ``start`` to ``goal`` inside ``mask``.
+    """Cells of a breadth-first path from ``start`` to ``goal`` inside ``mask``.
 
-    Neighbours are visited in ``_NEIGHBORS_8`` order, which is ascending in
-    flat offset, so each CSR row lists its columns in the order a FIFO
-    breadth-first search would scan them.
+    It is the path of a FIFO breadth-first search that scans each cell's
+    neighbours in ``_NEIGHBORS_8`` order, run one layer at a time.  A layer's
+    candidates are listed in (queue order, neighbour order), and each free
+    cell among them joins the next layer, in that order, with the first cell
+    that lists it as its predecessor.
     """
-    # imported here: csgraph adds about 1 MB and 5 ms to every start-up,
-    # and only the gate search uses it
-    from scipy.sparse import csgraph, csr_array
-
     nx, ny = mask.shape
-    edges = np.zeros((nx, ny, len(_NEIGHBORS_8)), dtype=bool)
-    for k, (di, dj) in enumerate(_NEIGHBORS_8):
-        src = (slice(max(0, -di), nx - max(0, di)), slice(max(0, -dj), ny - max(0, dj)))
-        dst = (slice(max(0, di), nx + min(0, di)), slice(max(0, dj), ny + min(0, dj)))
-        edges[src + (k,)] = mask[src] & mask[dst]
-    edges = edges.reshape(nx * ny, -1)
-    # csgraph indexes in int32; row r's columns are r + offset, in offset order
-    offsets = np.array([di * ny + dj for di, dj in _NEIGHBORS_8], dtype=np.int32)
-    cols = (np.arange(nx * ny, dtype=np.int32)[:, None] + offsets)[edges]
-    indptr = np.zeros(nx * ny + 1, dtype=np.int32)
-    np.cumsum(edges.sum(axis=1), out=indptr[1:])
-    graph = csr_array((np.ones(cols.size), cols, indptr), shape=(nx * ny, nx * ny))
-    a, b = start[0] * ny + start[1], goal[0] * ny + goal[1]
-    _, pred = csgraph.breadth_first_order(
-        graph, a, directed=True, return_predecessors=True
-    )
-    if pred[b] < 0:
-        raise RuntimeError("no path inside the sublevel set; inconsistent sweep state")
-    path = [b]
-    while path[-1] != a:
-        path.append(int(pred[path[-1]]))
-    return np.divmod(np.array(path[::-1]), ny)
+    width = ny + 2
+    # the mask padded by one cell, so that no neighbour leaves the array
+    free = np.zeros((nx + 2, width), dtype=bool)
+    free[1:-1, 1:-1] = mask
+    free = free.ravel()
+    # each cell's first listing in its layer (np.minimum.at keeps it); a free
+    # cell is listed in no earlier layer, so its entry is still this bound
+    claim = np.full(free.size, np.iinfo(np.intp).max)
+    offsets = np.array([di * width + dj for di, dj in _NEIGHBORS_8])
+    a, b = (start[0] + 1) * width + start[1] + 1, (goal[0] + 1) * width + goal[1] + 1
+    free[a] = False
+    # each layer's cells in queue order, and the listing that claimed each
+    # cell of the next layer (parent position * 8 + neighbour index)
+    layer, layers = np.array([a]), []
+    while free[b]:
+        listed = np.add.outer(layer, offsets).ravel()
+        hit = free[listed].nonzero()[0]
+        if hit.size == 0:
+            raise RuntimeError("no path inside the sublevel set; inconsistent sweep state")
+        cells = listed[hit]
+        np.minimum.at(claim, cells, hit)
+        first = claim[cells] == hit
+        layers.append((layer, hit[first]))
+        layer = cells[first]
+        free[layer] = False
+    path, k = [b], int(np.argmax(layer == b))
+    for parents, claims in layers[::-1]:
+        k = int(claims[k]) // len(offsets)
+        path.append(int(parents[k]))
+    i, j = np.divmod(np.array(path[::-1]), width)
+    return i - 1, j - 1

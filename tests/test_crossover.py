@@ -122,6 +122,16 @@ def test_large_alpha_limits():
     assert chi(50.0) == pytest.approx(math.sqrt(2.0 / math.pi), rel=0.02)
 
 
+def test_closed_forms_return_their_limits_at_infinite_alpha():
+    # theta_plus's (1 + alpha) erfcx and chi's sqrt(1 + alpha) e^{-alpha} I_0
+    # are inf * 0 at alpha = inf; the limits are those at the largest float
+    limits = {psi_plus: 1.0, psi_minus: 2.0, theta_plus: 1.0,
+              theta_minus: math.sqrt(math.pi / 2.0), chi: math.sqrt(2.0 / math.pi)}
+    for fn, limit in limits.items():
+        assert fn(math.inf) == limit
+        assert fn(sys.float_info.max) == pytest.approx(limit, rel=2**-51, abs=0.0)
+
+
 def test_negative_alpha_rejected():
     for fn in (psi_plus, psi_minus, theta_plus, theta_minus, chi):
         for alpha in (-0.1, math.nan):

@@ -778,14 +778,81 @@ def test_communication_height_pinned_1025_result_with_tied_saddles(fresh_interpr
 
 
 def test_communication_height_peak_memory_is_a_few_grids():
-    # V, its sorted copy, one label array, a few masks and the witness graph
+    # V, its sorted copy, one label array and a few masks: 2.89 grids of
+    # float64 when this bound was set
     tracemalloc.start()
     try:
         _search_1025(0.45)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * (8 * 1025 * 1025)
+    assert peak <= 3.15 * (8 * 1025 * 1025)
+
+
+def test_gate_search_loads_no_scipy_module(fresh_interpreter):
+    code = """
+import json, math, sys
+from metastable import communication_height_2d, rotated_two_particle
+res = communication_height_2d(rotated_two_particle(0.45), [-math.sqrt(2.0), 0.0], [math.sqrt(2.0), 0.0],
+                              {"bounds": [(-2.5, 2.5), (-2.5, 2.5)], "shape": (65, 65)})
+print(json.dumps([len(res.path_witness), sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+    steps, scipy_modules = fresh_interpreter(code)
+    assert steps > 2 and scipy_modules == []
+
+
+_MASKS = hnp.arrays(bool, st.tuples(st.integers(1, 40), st.integers(1, 40)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask=_MASKS)
+@example(mask=np.zeros((7, 5), dtype=bool))
+@example(mask=np.ones((6, 9), dtype=bool))
+@example(mask=np.array([[1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1]], dtype=bool))
+@example(mask=np.array([[1], [1], [0], [1], [0], [0], [1]], dtype=bool))
+@example(mask=np.eye(12, dtype=bool)[::-1] | np.eye(12, dtype=bool))
+def test_label8_matches_ndimage_label(mask):
+    from scipy import ndimage  # the oracle; the package labels without it
+
+    assert np.array_equal(landscape._label8(mask), ndimage.label(mask, np.ones((3, 3)))[0])
+
+
+def _fifo_predecessors(mask, start):
+    """A FIFO breadth-first search from ``start`` through ``mask``, scanning
+    neighbours in row-major order: each reached cell's predecessor."""
+    nx, ny = mask.shape
+    nbrs = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
+    prev, queue = {start: None}, deque([start])
+    while queue:
+        i, j = queue.popleft()
+        for di, dj in nbrs:
+            c = (i + di, j + dj)
+            if 0 <= c[0] < nx and 0 <= c[1] < ny and mask[c] and c not in prev:
+                prev[c] = (i, j)
+                queue.append(c)
+    return prev
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask=_MASKS, ends=st.tuples(st.floats(0, 1), st.floats(0, 1)))
+@example(mask=np.ones((1, 2), dtype=bool), ends=(0.0, 1.0))  # adjacent endpoints
+@example(mask=np.ones((2, 2), dtype=bool), ends=(0.0, 1.0))  # diagonal neighbours
+@example(mask=np.ones((9, 13), dtype=bool), ends=(0.0, 1.0))  # corner to corner
+@example(mask=~np.eye(10, dtype=bool), ends=(0.2, 0.8))  # across a cut diagonal
+@example(mask=np.ones((4, 4), dtype=bool), ends=(0.5, 0.5))  # start is the goal
+def test_bfs_path_matches_a_fifo_search(mask, ends):
+    mask = mask.copy()
+    mask.flat[0] = True  # so that there is a cell to start from
+    cells = list(zip(*np.nonzero(mask)))
+    start = cells[int(ends[0] * (len(cells) - 1))]
+    prev = _fifo_predecessors(mask, start)
+    reached = sorted(prev)
+    goal = reached[int(ends[1] * (len(reached) - 1))]
+    path = [goal]
+    while prev[path[-1]] is not None:
+        path.append(prev[path[-1]])
+    ii, jj = landscape._bfs_path(mask, start, goal)
+    assert list(zip(ii.tolist(), jj.tolist())) == path[::-1]
 
 
 def test_grid_spec_covering():
