@@ -45,6 +45,7 @@ import numpy as np
 from .crossover import _integrate
 from .landscape import StationaryPoint, codim1_coefficients, codim2_form
 from .potentials import PotentialModel, _grid_slabs, _grid_values, _slab_length
+from .rates import _check_positive
 
 __all__ = [
     "BoxSpec",
@@ -90,14 +91,12 @@ class BoxSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "deltaj", tuple(float(v) for v in self.deltaj))
-        if not self.delta1 > 0.0:
-            raise ValueError("delta1 must be positive")
-        if self.delta2 is not None and not self.delta2 > 0.0:
-            raise ValueError("delta2 must be positive when given")
-        if any(v <= 0.0 for v in self.deltaj):
-            raise ValueError("deltaj half-widths must be positive")
-        if not self.eps > 0.0:
-            raise ValueError("eps must be positive")
+        _check_positive(self.delta1, "delta1")
+        if self.delta2 is not None:
+            _check_positive(self.delta2, "delta2")
+        for v in self.deltaj:
+            _check_positive(v, "deltaj")
+        _check_positive(self.eps, "eps")
 
     def advisory_warnings(self) -> list[str]:
         """Width checks that hold only asymptotically; violations are advisory."""
@@ -154,8 +153,8 @@ def default_box(
     multiplies every half-width (the threshold constants are proof
     parameters, not sharp).
     """
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
+    _check_positive(eps, "eps")
+    _check_positive(scale, "scale")
     evs = point.eigenvalues
     d = model.dim
     level = d * eps * abs(math.log(eps))
@@ -256,13 +255,10 @@ def reduced_capacity(
         adaptive to relative accuracy 1e-10.  The normal-form altitude is zero,
         so no ``exp(-V(z)/eps)`` factor appears.
     """
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
+    _check_positive(eps, "eps")
     if q not in (2, 3):
         raise ValueError("q must be 2 or 3")
-    lambdas = [float(v) for v in lambdas]
-    if any(v <= 0.0 for v in lambdas):
-        raise ValueError("quadratic eigenvalues must be strictly positive")
+    lambdas = [_check_positive(v, "lambdas") for v in lambdas]
     if box.delta2 is None:
         raise ValueError("reduced_capacity needs box.delta2 for the transverse block")
 
@@ -466,7 +462,7 @@ def _refine(
         n += 1
     cap = _MAX_NODES.get(d)
     if cap is None:
-        raise ValueError("tensor-grid bounds support dimensions 1 to 3 only")
+        raise ValueError(f"tensor-grid bounds support dimensions 1 to {max(_MAX_NODES)} only")
 
     def level(n: int) -> float:
         if n not in levels:
@@ -579,8 +575,7 @@ def capacity_1d_exact(
     """
     if not a < b:
         raise ValueError("capacity_1d_exact requires a < b")
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
+    _check_positive(eps, "eps")
     ts = np.linspace(a, b, 2001)
     vals = np.array([float(potential(t)) for t in ts])
     i_max = int(np.argmax(vals))

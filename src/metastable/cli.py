@@ -26,11 +26,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .capacity import capacity_1d_exact, default_box, dirichlet_upper_bound, fiber_lower_bound
+from .capacity import (
+    _MAX_NODES, capacity_1d_exact, default_box, dirichlet_upper_bound, fiber_lower_bound,
+)
 from .crossover import CROSSOVER_FUNCTIONS, evaluate
 from .landscape import (
     SaddleClass,
     StationaryPoint,
+    _finite_or_null,
     classification_report,
     classify,
     find_stationary_points,
@@ -151,7 +154,7 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _write_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(_finite_or_null(doc), indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -293,8 +296,8 @@ def _cmd_sweep(ns, argv) -> int:
 
 def _cmd_verify(ns, argv) -> int:
     model = _load_model(ns)
-    if model.dim > 3:
-        raise UsageError("capacity quadrature supports dimensions 1 to 3")
+    if model.dim not in _MAX_NODES:
+        raise UsageError(f"capacity quadrature supports dimensions 1 to {max(_MAX_NODES)}")
     if not ns.eps:
         raise UsageError("--eps is required")
     out = _out_dir(ns)
@@ -438,7 +441,7 @@ _SHARED = (
 
 # name -> (handler, help, shared flag groups, own options as (flag, keywords))
 _COMMANDS = {
-    "classify": (_cmd_classify, "locate and classify stationary points", ("potential", "eps"), (
+    "classify": (_cmd_classify, "locate and classify stationary points", ("potential",), (
         ("--seeds", dict(help="semicolon-separated start points, e.g. '0,0;1,1'")),
         ("--tol", dict(type=float, default=1e-9, help="gradient-norm tolerance")),
     )),

@@ -42,7 +42,9 @@ from enum import Enum
 import numpy as np
 
 from .potentials import PotentialModel, _grid_values
-from .rates import Codim2, PitchforkLongitudinal, PitchforkTransverse, Quadratic, SaddleSpec
+from .rates import (
+    Codim2, PitchforkLongitudinal, PitchforkTransverse, Quadratic, SaddleSpec, _check_positive,
+)
 
 __all__ = [
     "SaddleTag",
@@ -163,8 +165,7 @@ def find_stationary_points(
     skipped, never fatal.  Points closer than ``10 * tol`` are merged.
     Results are sorted by potential value, then lexicographically by location.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    _check_positive(tol, "tol")
     found: list[np.ndarray] = []
     for k, seed in enumerate(seeds):
         seed = np.asarray(seed, dtype=float)
@@ -697,12 +698,14 @@ def classification_report(point: StationaryPoint, sc: SaddleClass) -> dict:
 
 
 def _finite_or_null(obj):
-    """``obj`` with every non-finite float replaced by ``None`` (strict JSON has no NaN)."""
+    """``obj`` with every non-finite float replaced by ``None`` and tuples made
+    lists: the package's one encoding of non-finite values, since strict JSON
+    has no NaN or Infinity."""
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _finite_or_null(v) for k, v in obj.items()}
-    if isinstance(obj, list):
+    if isinstance(obj, (list, tuple)):
         return [_finite_or_null(v) for v in obj]
     return obj
 

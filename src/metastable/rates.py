@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Callable, Sequence, Union
 
 from .crossover import _integrate, chi, psi_minus, psi_plus, theta_minus, theta_plus
@@ -80,11 +81,13 @@ def _safe_exp(x: float) -> float:
     return math.exp(x)
 
 
-def _check_eps(eps: float) -> float:
-    eps = float(eps)
-    if not math.isfinite(eps) or eps <= 0.0:
-        raise ValueError(f"eps must be a positive real number, got {eps!r}")
-    return eps
+def _check_positive(value: float, name: str) -> float:
+    """``value`` as a float, or ``ValueError`` naming ``name`` unless it is a
+    finite positive real: the package's one check of such a parameter."""
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be a finite positive real number, got {value!r}")
+    return value
 
 
 def _prod(values: Sequence[float]) -> float:
@@ -109,8 +112,7 @@ class FlatUnstable:
 
     def __post_init__(self) -> None:
         _check_flat_order(self.p)
-        if not self.coefficient > 0.0:
-            raise ValueError("normal-form coefficient must be positive")
+        _check_positive(self.coefficient, "coefficient")
 
 
 @dataclass(frozen=True)
@@ -122,8 +124,7 @@ class FlatStable:
 
     def __post_init__(self) -> None:
         _check_flat_order(self.p)
-        if not self.coefficient > 0.0:
-            raise ValueError("normal-form coefficient must be positive")
+        _check_positive(self.coefficient, "coefficient")
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,8 @@ class Codim2:
 
     def __post_init__(self) -> None:
         _check_flat_order(self.p)
-        _check_constant_angular(self.angular)
+        if not callable(self.angular):
+            _check_positive(self.angular, "angular")
 
 
 @dataclass(frozen=True)
@@ -159,8 +161,9 @@ class PitchforkTransverse:
     mu2: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.quartic > 0.0:
-            raise ValueError("quartic coefficient must be positive")
+        _check_positive(self.quartic, "quartic")
+        if self.mu2 is not None:
+            _check_positive(self.mu2, "mu2")
 
 
 @dataclass(frozen=True)
@@ -177,8 +180,7 @@ class PitchforkLongitudinal:
     mu1: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.quartic > 0.0:
-            raise ValueError("quartic coefficient must be positive")
+        _check_positive(self.quartic, "quartic")
 
 
 @dataclass(frozen=True)
@@ -194,7 +196,8 @@ class DoubleZero:
     angular: AngularProfile
 
     def __post_init__(self) -> None:
-        _check_constant_angular(self.angular)
+        if not callable(self.angular):
+            _check_positive(self.angular, "angular")
 
 
 @dataclass(frozen=True)
@@ -214,12 +217,9 @@ class Sombrero:
     def __post_init__(self) -> None:
         if not isinstance(self.gate_pairs, int) or self.gate_pairs < 2:
             raise ValueError("gate_pairs must be an integer >= 2")
-        if not self.mu2 > 0.0:
-            raise ValueError("mu2 must be positive (ring dips must be saddles)")
-        if not self.mu3 > 0.0:
-            raise ValueError("mu3 must be positive")
-        if not self.quartic > 0.0:
-            raise ValueError("quartic coefficient must be positive")
+        _check_positive(self.mu3, "mu3")  # first: a sombrero sweep derives mu2 from it
+        _check_positive(self.mu2, "mu2")
+        _check_positive(self.quartic, "quartic")
 
 
 Regime = Union[
@@ -237,11 +237,6 @@ Regime = Union[
 def _check_flat_order(p: object) -> None:
     if not isinstance(p, int) or isinstance(p, bool) or p < 2:
         raise ValueError(f"flat order p must be an integer >= 2, got {p!r}")
-
-
-def _check_constant_angular(angular: AngularProfile) -> None:
-    if not callable(angular) and not float(angular) > 0.0:
-        raise ValueError("angular profile must be strictly positive")
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +266,15 @@ class MinimumSpec:
     def __post_init__(self) -> None:
         if self.eigenvalues is not None:
             object.__setattr__(self, "eigenvalues", tuple(float(v) for v in self.eigenvalues))
-            if not self.eigenvalues or min(self.eigenvalues) <= 0.0:
-                raise ValueError("minimum eigenvalues must all be strictly positive")
+            if not self.eigenvalues:
+                raise ValueError("minimum eigenvalues must not be empty")
+            for v in self.eigenvalues:
+                _check_positive(v, "eigenvalues")
         if self.hessian_det is None:
             if self.eigenvalues is None:
                 raise ValueError("provide hessian_det or eigenvalues for the minimum")
             object.__setattr__(self, "hessian_det", _prod(self.eigenvalues))
-        if not self.hessian_det > 0.0:
-            raise ValueError("hessian_det must be positive (quadratic minimum)")
+        _check_positive(self.hessian_det, "hessian_det")
         if self.eigenvalues is not None:
             prod = _prod(self.eigenvalues)
             if abs(prod - self.hessian_det) > 1e-6 * max(abs(prod), abs(self.hessian_det)):
@@ -324,23 +320,20 @@ class SaddleSpec:
     unstable_eigenvalue: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "stable_eigenvalues", tuple(float(v) for v in self.stable_eigenvalues)
-        )
-        if any(v <= 0.0 for v in self.stable_eigenvalues):
-            raise ValueError(
-                "stable eigenvalues must be strictly positive; zero or negative "
-                "eigenvalues belong to a degenerate regime"
-            )
+        object.__setattr__(self, "stable_eigenvalues", tuple(map(float, self.stable_eigenvalues)))
+        # a zero or negative eigenvalue belongs to a degenerate regime
+        for v in self.stable_eigenvalues:
+            _check_positive(v, "stable_eigenvalues")
         entry = _REGIMES.get(type(self.regime))
         if entry is None:
             raise ValueError(f"unknown regime type {type(self.regime).__name__}")
         if entry[1]:
-            if self.unstable_eigenvalue is None or not self.unstable_eigenvalue > 0.0:
+            if self.unstable_eigenvalue is None:
                 raise ValueError(
-                    "unstable_eigenvalue must be the positive magnitude |lambda_1| "
+                    "unstable_eigenvalue, the magnitude |lambda_1|, is required "
                     f"for regime {type(self.regime).__name__}"
                 )
+            _check_positive(self.unstable_eigenvalue, "unstable_eigenvalue")
         elif self.unstable_eigenvalue is not None:
             raise ValueError(
                 f"regime {type(self.regime).__name__} has a degenerate unstable "
@@ -421,17 +414,16 @@ def _setup(
 
     Returns ``(eps, regime, |lambda_1| or None, stable product)``.
     """
-    eps = _check_eps(eps)
+    eps = _check_positive(eps, "eps")
     if not isinstance(saddle.regime, kind):
         raise ValueError(
             f"{_REGIMES[kind][2].__name__} requires a SaddleSpec with regime "
             f"{kind.__name__}, got {type(saddle.regime).__name__}"
         )
-    d = saddle.dimension
-    if minimum.eigenvalues is not None and len(minimum.eigenvalues) != d:
+    if minimum.eigenvalues is not None and len(minimum.eigenvalues) != saddle.dimension:
         raise ValueError(
             f"minimum lists {len(minimum.eigenvalues)} eigenvalues but the saddle "
-            f"implies dimension {d}"
+            f"implies dimension {saddle.dimension}"
         )
     lam1 = saddle.unstable_eigenvalue
     return eps, saddle.regime, None if lam1 is None else float(lam1), saddle.stable_product
@@ -450,7 +442,7 @@ _CLASSICAL_ERROR = "eps^(1/2) |log eps|"
 
 def soft_window(eps: float) -> float:
     """Width ``sqrt(eps * |log eps|)`` of the crossover window for soft eigenvalues."""
-    eps = _check_eps(eps)
+    eps = _check_positive(eps, "eps")
     return math.sqrt(eps * abs(math.log(eps)))
 
 
@@ -465,10 +457,7 @@ def _angular_mean(angular: AngularProfile, func: Callable[[float], float]) -> fl
     are integrated adaptively to relative accuracy 1e-11.
     """
     if not callable(angular):
-        k = float(angular)
-        if k <= 0.0:
-            raise ValueError("angular profile must be strictly positive")
-        return func(k)
+        return func(float(angular))
 
     def integrand(phi: float) -> float:
         k = float(angular(phi))
@@ -615,8 +604,7 @@ def pitchfork_saddles(lambda2: float, quartic: float) -> SplitSaddles:
     """
     if not lambda2 < 0.0:
         raise ValueError("pitchfork_saddles requires lambda2 < 0 (post-bifurcation)")
-    if not quartic > 0.0:
-        raise ValueError("quartic coefficient must be positive")
+    _check_positive(quartic, "quartic")
     return SplitSaddles(
         offset=math.sqrt(-lambda2 / (4.0 * quartic)),
         soft_eigenvalue=-2.0 * lambda2,
@@ -633,8 +621,7 @@ def longitudinal_saddles(lambda1: float, quartic: float) -> SplitSaddles:
     """
     if not lambda1 > 0.0:
         raise ValueError("longitudinal_saddles requires lambda1 > 0 (post-bifurcation)")
-    if not quartic > 0.0:
-        raise ValueError("quartic coefficient must be positive")
+    _check_positive(quartic, "quartic")
     return SplitSaddles(
         offset=math.sqrt(lambda1 / (4.0 * quartic)),
         soft_eigenvalue=-2.0 * lambda1,
@@ -691,8 +678,6 @@ def pitchfork_transverse_time(minimum: MinimumSpec, saddle: SaddleSpec, eps: flo
                 "lambda2 < 0 requires the split-saddle eigenvalue mu2 "
                 "(see pitchfork_saddles for the leading-order value)"
             )
-        if not regime.mu2 > 0.0:
-            raise ValueError("mu2 must be positive at the split saddles")
         soft = regime.mu2
         psi = psi_minus(soft / a)
         tag = "pitchfork-transverse-split"
@@ -907,6 +892,8 @@ SWEEP_FIELDS = (
     "regime_tag",
     "error_order",
 )
+# the RateResult attributes that fill a sweep row after its control value
+_SWEEP_VALUES = attrgetter(*SWEEP_FIELDS[1:])
 
 
 def _sweep(
@@ -923,15 +910,7 @@ def _sweep(
         if not math.isfinite(control):
             raise ValueError(f"sweep control values must be finite, got {control}")
         result = closed_rate(UNIT_MINIMUM, saddle_at(control), eps)
-        rows.append({
-            "control_parameter": control,
-            "eps": result.eps,
-            "barrier": result.barrier,
-            "prefactor": result.prefactor,
-            "expected_time": result.expected_time,
-            "regime_tag": result.regime_tag,
-            "error_order": result.error_order,
-        })
+        rows.append(dict(zip(SWEEP_FIELDS, (control, *_SWEEP_VALUES(result)))))
     return rows
 
 
@@ -1006,8 +985,6 @@ def sweep_sombrero(
     """
 
     def saddle_at(mu3: float) -> SaddleSpec:
-        if not mu3 > 0.0:
-            raise ValueError("mu3 values must be positive")
         regime = Sombrero(gate_pairs, 0.5 * mu3 * mu3, mu3, quartic)
         return SaddleSpec(-(mu3**2) / (64.0 * quartic), regime, (), 1.0)
 

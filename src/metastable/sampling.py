@@ -5,8 +5,12 @@ estimates the expected first-hitting time of a target set, for empirical
 validation of the closed-form predictions in :mod:`metastable.rates`.
 
 Every replica owns a counter-based random stream keyed by ``(seed, replica)``,
-so results are bit-identical for a fixed ``(seed, replicas, dt)`` and the
-first ``n`` replicas of a larger run reproduce a smaller run exactly.
+so results are bit-identical for a fixed seed, replica count, ``dt`` and BLAS
+thread count.  The first ``n`` replicas of a larger run draw the noise of a
+smaller run, but their paths may differ from it in the last bits, and so may
+a hit step when a position lies that close to the target's boundary: the
+polynomial kernel's ``gradient_many`` rounds a row differently by the size of
+its batch, which is the number of replicas still running.
 
 Noise is drawn per chunk of ``_CHUNK_STEPS`` steps into a
 ``(live replicas, steps, d)`` block: each replica's stream fills its own
@@ -36,8 +40,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .landscape import _finite_or_null
 from .potentials import PotentialModel
-from .rates import RateResult
+from .rates import RateResult, _check_positive
 
 __all__ = [
     "MAX_CENSORED_FRACTION",
@@ -72,13 +77,12 @@ class Ball:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float).ravel())
         if not np.all(np.isfinite(self.center)):
             raise ValueError("center must be finite")
-        if not self.radius > 0.0:
-            raise ValueError("radius must be positive")
+        _check_positive(self.radius, "radius")
 
 
 def default_radius(eps: float) -> float:
     """Default target radius ``3 sqrt(eps)`` (a small neighbourhood of the well)."""
-    return 3.0 * math.sqrt(eps)
+    return 3.0 * math.sqrt(_check_positive(eps, "eps"))
 
 
 def default_dt(model: PotentialModel, eps: float, points: Sequence) -> float:
@@ -88,6 +92,7 @@ def default_dt(model: PotentialModel, eps: float, points: Sequence) -> float:
     start and the target centers), so the step resolves both the local
     relaxation times and the noise scale.
     """
+    eps = _check_positive(eps, "eps")
     points = [np.asarray(p, dtype=float) for p in points]
     for p in points:
         if p.size != model.dim:
@@ -143,10 +148,10 @@ class SimulationConfig:
         if isinstance(tgt, Ball):
             tgt = (tgt,)
         object.__setattr__(self, "target", tuple(tgt))
-        if not self.eps > 0.0:
-            raise ValueError("eps must be positive")
-        if not 0.0 < self.dt <= self.max_time:
-            raise ValueError("need 0 < dt <= max_time")
+        for name in ("eps", "dt", "max_time"):
+            _check_positive(getattr(self, name), name)
+        if not self.dt <= self.max_time:
+            raise ValueError("need dt <= max_time")
         if self.replicas < 1:
             raise ValueError("replicas must be at least 1")
         if not 0 <= int(self.seed) < 2**64:
@@ -402,32 +407,28 @@ def validate(
     return ValidationReport(ratio=ratio, z_score=z_score, verdict=verdict, tolerance=tol)
 
 
-def _json_number(x: float) -> float | None:
-    # strict JSON has no NaN or Infinity; e.g. a run with fewer than two hits
-    return x if math.isfinite(x) else None
-
-
 def estimate_json(estimate: HittingTimeEstimate) -> dict:
-    """JSON-ready summary {mean, stderr, hits, censored, ci95}; non-finite values are null."""
-    return {
-        "mean": _json_number(estimate.mean),
-        "stderr": _json_number(estimate.stderr),
+    """JSON-ready summary {mean, stderr, hits, censored, ci95}; non-finite values
+    (a run with fewer than two hits) are null."""
+    return _finite_or_null({
+        "mean": estimate.mean,
+        "stderr": estimate.stderr,
         "hits": estimate.hit_count,
         "censored": estimate.censored_count,
         "aborted": estimate.aborted_count,
-        "ci95": [_json_number(v) for v in estimate.ci95],
+        "ci95": estimate.ci95,
         "eps": estimate.eps,
-    }
+    })
 
 
 def validation_json(report: ValidationReport) -> dict:
     """JSON-ready {ratio, z_score, verdict, tolerance}; non-finite values are null."""
-    return {
-        "ratio": _json_number(report.ratio),
-        "z_score": _json_number(report.z_score),
+    return _finite_or_null({
+        "ratio": report.ratio,
+        "z_score": report.z_score,
         "verdict": report.verdict,
-        "tolerance": _json_number(report.tolerance),
-    }
+        "tolerance": report.tolerance,
+    })
 
 
 def write_times_csv(estimate: HittingTimeEstimate, path) -> None:

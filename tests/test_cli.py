@@ -228,6 +228,15 @@ def test_rate_with_a_minimum_seed_reaching_a_saddle_exits_1(tmp_path):
     assert code == 1
 
 
+def test_rate_beyond_the_float_range_writes_a_null_expected_time(tmp_path):
+    # exp(0.25 / 0.0003) overflows float64: strict JSON has no Infinity
+    code = run(tmp_path, "rate", "--potential", "double_well", "--minimum-seed=-1", "--saddle-seed=0",
+               "--eps", "0.0003")
+    assert code == 0
+    row = read_strict_json(tmp_path, "rate.json")["results"][0]
+    assert row["expected_time"] is None and row["prefactor"] == pytest.approx(math.pi * math.sqrt(2.0))
+
+
 def test_rate_without_eps_exits_1(tmp_path):
     code = run(
         tmp_path,
@@ -536,6 +545,30 @@ def test_codim2_gate_with_soft_unstable_directions_exits_1_without_a_traceback(t
     assert not (tmp_path / "rate.json").exists()
 
 
+_SIMULATE_DW = ["simulate", "--potential", "double_well", "--start=-1", "--target", "1", "--replicas", "3"]
+_VERIFY_DW = ["verify", "--potential", "double_well", "--saddle-seed", "0"]
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (_SIMULATE_DW + ["--eps", "inf", "--max-time", "10"], "eps"),
+        (_SIMULATE_DW + ["--eps", "0.3", "--radius", "inf", "--max-time", "10"], "radius"),
+        (_SIMULATE_DW + ["--eps", "0.3", "--max-time", "inf"], "max_time"),
+        (_VERIFY_DW + ["--eps", "0.05", "--box-scale", "inf"], "scale"),
+        (_VERIFY_DW + ["--eps", "inf"], "eps"),
+        (["classify", "--potential", "double_well", "--seeds", "0.3", "--tol", "inf"], "tol"),
+    ],
+    ids=["simulate-eps", "simulate-radius", "simulate-max-time", "verify-box-scale", "verify-eps", "classify-tol"],
+)
+def test_a_non_finite_positive_parameter_exits_1_with_one_line(tmp_path, capsys, recwarn, argv, name):
+    assert run(tmp_path, *argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"metastable {argv[0]}: error: {name} must be a finite positive real number, got inf\n"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / f"{argv[0]}.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -722,6 +755,14 @@ def test_tabulate_special_takes_no_eps(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(tmp_path, "tabulate-special", "--alphas", "1.0", "--eps", "0.1")
     assert exc.value.code == 1
+
+
+def test_classify_takes_no_eps(tmp_path):
+    # classification does not depend on the noise; the flag was never read
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "classify", "--potential", "double_well", "--seeds", "0", "--eps", "banana,1")
+    assert exc.value.code == 1
+    assert not (tmp_path / "manifest.json").exists()
 
 
 # ---------------------------------------------------------------------------
