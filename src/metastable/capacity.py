@@ -457,12 +457,16 @@ def _refine(
     """Refine bound ``which`` (0 upper, 1 lower) of :func:`_level` on the ladder."""
     d = model.dim
     widths = _axis_widths(box, d)
-    n = max(5, int(grid))
-    if n % 2 == 0:
-        n += 1
     cap = _MAX_NODES.get(d)
     if cap is None:
         raise ValueError(f"tensor-grid bounds support dimensions 1 to {max(_MAX_NODES)} only")
+    if grid < 1:
+        raise ValueError(f"grid must be at least 1 node per axis, got {grid}")
+    n = max(5, int(grid))
+    if n % 2 == 0:
+        n += 1
+    if n > cap:
+        raise ValueError(f"grid of {grid} nodes per axis exceeds the {d}-d limit of {cap}")
 
     def level(n: int) -> float:
         if n not in levels:
@@ -528,7 +532,9 @@ def dirichlet_upper_bound(
     ``eps exp(-V(z)/eps) integral exp(-W/eps) f'(y1)**2 dy`` is a true upper
     bound for the capacity up to quadrature error and the dropped outside-box
     contribution.  Simpson tensor grids are refined (nodes doubled per axis)
-    until the value changes by less than 1e-6 relative.  ``levels`` shares
+    from ``grid`` nodes per axis (made odd and at least 5) until the value
+    changes by less than 1e-6 relative.  A ``grid`` below 1 or a first level
+    above the dimension's node cap raises ``ValueError``.  ``levels`` shares
     each level's integrals with :func:`fiber_lower_bound` on the same saddle
     and box, which are computed in the same pass (see the module docstring).
     """

@@ -39,7 +39,7 @@ from .landscape import (
     find_stationary_points,
     saddle_spec,
 )
-from .potentials import PotentialModel, load_potential
+from .potentials import _BUILTINS, PotentialModel, load_potential
 from .rates import (
     SWEEP_FIELDS,
     UNIT_MINIMUM,
@@ -432,7 +432,7 @@ def _cmd_tabulate(ns, argv) -> int:
 
 # shared flags in help order as (group, flag, keywords); every command takes --out
 _SHARED = (
-    ("potential", "--potential", dict(help="built-in name (chain|rotated2|double_well) or JSON file")),
+    ("potential", "--potential", dict(help=f"built-in name ({'|'.join(_BUILTINS)}) or JSON file")),
     ("potential", "--params", dict(help="comma-separated key=value family parameters")),
     ("eps", "--eps", dict(help="comma-separated noise intensities")),
     ("out", "--out", dict(default=".", help="output directory (default: current)")),

@@ -765,6 +765,16 @@ class GridSpec2D:
     nx: int = 257
     ny: int = 257
 
+    def __post_init__(self):
+        for axis, lo, hi, n in (("x", self.xmin, self.xmax, self.nx), ("y", self.ymin, self.ymax, self.ny)):
+            for name, bound in ((f"{axis}min", lo), (f"{axis}max", hi)):
+                if not math.isfinite(bound):
+                    raise ValueError(f"grid bound {name} must be finite, got {bound!r}")
+            if lo > hi:
+                raise ValueError(f"grid bound {axis}min = {lo!r} exceeds {axis}max = {hi!r}")
+            if n < 1:
+                raise ValueError(f"grid axis n{axis} needs at least 1 node, got {n!r}")
+
     @classmethod
     def covering(cls, pts, margin: float = 1.0, n: int = 257) -> "GridSpec2D":
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -814,9 +824,9 @@ def communication_height_2d(model: PotentialModel, a, b, grid) -> GateResult:
 
     Read as a sweep that activates cells in stable ascending order of V (ties
     in row-major order), the triggering cell is the first activation after
-    which a and b are connected: the strict sublevel set ``{V < h}`` is
-    labelled once and the cells tied at ``h`` are joined to it one by one in
-    row-major order.  The grid tolerance is the largest one-cell variation of
+    which a and b are connected: it is found by bisection over the cells tied
+    at ``h`` in row-major order, labelling ``{V < h}`` with the first k of
+    them at each probe.  The grid tolerance is the largest one-cell variation of
     V around that cell.  Gate cells are the cells within the tolerance of
     ``h`` with a neighbour in each endpoint's strict-sublevel component, in
     row-major order.  The witness path is a breadth-first path from a to b
@@ -980,9 +990,10 @@ def _first_connecting_cell(V: np.ndarray, ja, jb):
     # is the whole grid
     corner, inside = (0, 0), np.ones(V.shape, dtype=bool)
 
-    def component(t: float):
-        """The a-b component of {V <= t} as (corner, mask), or None."""
-        lab = _label8((V[_box(corner, inside.shape)] <= t) & inside)
+    def component(active: np.ndarray):
+        """The a-b component of ``active``, a mask of cells of ``inside`` on
+        its box, as (corner, mask), or None."""
+        lab = _label8(active)
         ka, kb = lab[_shift(ja, corner, -1)], lab[_shift(jb, corner, -1)]
         if ka == 0 or ka != kb:
             return None
@@ -998,7 +1009,7 @@ def _first_connecting_cell(V: np.ndarray, ja, jb):
     hi = values.size - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        found = component(values[mid])
+        found = component((V[_box(corner, inside.shape)] <= values[mid]) & inside)
         if found is None:
             lo = mid + 1
         else:
@@ -1008,38 +1019,22 @@ def _first_connecting_cell(V: np.ndarray, ja, jb):
     Vc = V[_box(corner, inside.shape)]
 
     # cells tied at the height activate in flat order, which is their stable
-    # order; union them with the strict-sublevel components they touch until
-    # the endpoints' sets meet.  Both lie in the component, and row-major
-    # order in its box is flat order.
-    comp = _label8((Vc < height) & inside)
-    parent = list(range(int(comp.max()) + 1))
-    node = {}  # tied cell -> union-find node
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def label(cell):
-        return node.get(cell) if comp[cell] == 0 else int(comp[cell])
-
-    nx, ny = inside.shape
-    la, lb = _shift(ja, corner, -1), _shift(jb, corner, -1)
-    for i, j in zip(*np.nonzero((Vc == height) & inside)):
-        cell = (int(i), int(j))
-        node[cell] = len(parent)
-        parent.append(node[cell])
-        for di, dj in _NEIGHBORS_8:
-            ii, jj = cell[0] + di, cell[1] + dj
-            if 0 <= ii < nx and 0 <= jj < ny:
-                other = label((ii, jj))
-                if other is not None:
-                    parent[find(other)] = find(node[cell])
-        ra, rb = label(la), label(lb)
-        if ra is not None and rb is not None and find(ra) == find(rb):
-            return height, _shift(cell, corner, 1), (corner, inside)
-    raise RuntimeError("no tied cell connects the endpoints; inconsistent sweep state")
+    # order and, in the component's box, row-major order.  Activating more of
+    # them only merges components, so the trigger is the first of them whose
+    # activation connects the endpoints, found by bisection; with all of them
+    # active the set is the component itself.
+    tied = np.flatnonzero((Vc == height) & inside)
+    lo, hi = 0, tied.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        active = (Vc < height) & inside
+        active.flat[tied[: mid + 1]] = True
+        if component(active) is None:
+            lo = mid + 1
+        else:
+            hi = mid
+    trigger = divmod(int(tied[lo]), inside.shape[1])
+    return height, _shift(trigger, corner, 1), (corner, inside)
 
 
 def _bfs_path(mask: np.ndarray, start, goal) -> tuple[np.ndarray, np.ndarray]:

@@ -535,34 +535,27 @@ def uniform_minimum_spectrum(N: int, gamma: float) -> list[tuple[int, float]]:
 # loading
 
 
-_BUILTINS = {"chain", "rotated2", "double_well"}
+# built-in family name -> (factory, its parameters as (name, converter)), in
+# the order the CLI help lists them
+_BUILTINS = {
+    "chain": (chain_potential, (("N", int), ("gamma", float))),
+    "rotated2": (rotated_two_particle, (("gamma", float),)),
+    "double_well": (double_well_1d, ()),
+}
 
 
 def _build_named(name: str, params: dict) -> PotentialModel:
+    if not isinstance(name, str) or name not in _BUILTINS:
+        raise ValueError(f"unknown potential name {name!r}; built-ins: {sorted(_BUILTINS)}")
+    factory, spec = _BUILTINS[name]
     params = dict(params or {})
-    if name == "chain":
-        try:
-            N, gamma = params.pop("N"), params.pop("gamma")
-        except KeyError as exc:
-            raise ValueError(f"chain potential needs parameter {exc}") from None
-        _reject_extra(name, params)
-        return chain_potential(int(N), float(gamma))
-    if name == "rotated2":
-        try:
-            gamma = params.pop("gamma")
-        except KeyError as exc:
-            raise ValueError(f"rotated2 potential needs parameter {exc}") from None
-        _reject_extra(name, params)
-        return rotated_two_particle(float(gamma))
-    if name == "double_well":
-        _reject_extra(name, params)
-        return double_well_1d()
-    raise ValueError(f"unknown potential name {name!r}; built-ins: {sorted(_BUILTINS)}")
-
-
-def _reject_extra(name: str, leftover: dict) -> None:
-    if leftover:
-        raise ValueError(f"unexpected parameters for {name!r}: {sorted(leftover)}")
+    try:
+        raw = [params.pop(key) for key, _ in spec]
+    except KeyError as exc:
+        raise ValueError(f"{name} potential needs parameter {exc}") from None
+    if params:
+        raise ValueError(f"unexpected parameters for {name!r}: {sorted(params)}")
+    return factory(*(convert(value) for (_, convert), value in zip(spec, raw)))
 
 
 def load_potential(source, params: dict | None = None) -> PotentialModel:

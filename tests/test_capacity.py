@@ -485,6 +485,27 @@ def test_tensor_bounds_reject_dimension_above_three():
         dirichlet_upper_bound(model, pt, box)
 
 
+@pytest.mark.parametrize("model, grid", [("double_well", 8194), ("rotated2", 1026), ("rotated2", 0),
+                                         ("chain3", -5)])
+def test_tensor_bounds_reject_a_grid_outside_the_ladder_before_any_level(model, grid, dw, rotated_quadratic):
+    # 8194 and 1026 round up to a first level one step past the 1-d and 2-d caps
+    model = {"double_well": dw, "rotated2": rotated_quadratic, "chain3": chain_potential(3, 1.0)}[model]
+    pt = StationaryPoint.at(model, np.zeros(model.dim))
+    box = default_box(model, pt, 0.05)
+    levels = {}
+    for bound in (dirichlet_upper_bound, fiber_lower_bound):
+        with pytest.raises(ValueError, match="^grid"):
+            bound(model, pt, box, grid=grid, levels=levels)
+    assert levels == {}
+
+
+def test_tensor_bounds_round_a_small_grid_up_to_five_nodes(rotated_quadratic):
+    pt = StationaryPoint.at(rotated_quadratic, np.zeros(2))
+    levels = {}
+    dirichlet_upper_bound(rotated_quadratic, pt, default_box(rotated_quadratic, pt, 0.05), grid=1, levels=levels)
+    assert min(levels) == 5
+
+
 def test_box_condition_warnings_fire(rotated_quadratic):
     pt = StationaryPoint.at(rotated_quadratic, np.zeros(2))
     eps = 0.01

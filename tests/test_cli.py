@@ -990,18 +990,26 @@ def test_output_bytes_match_the_golden_file(tmp_path, golden):
     assert produced.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
-# scipy submodules each cost from 5 ms to a third of a second of start-up;
-# every one is imported where it is called, so a command pays only for its own
-SCIPY_SUBMODULES = [
-    "scipy.sparse.csgraph", "scipy.optimize", "scipy.integrate", "scipy.special", "scipy.ndimage",
-]
+@pytest.mark.parametrize("nodes", ["2049", "-5"])
+def test_verify_rejects_grid_nodes_outside_the_ladder(tmp_path, capsys, nodes):
+    # the 2-d cap is 1025 nodes per axis; a first level of 2049 would pass it
+    code = run(
+        tmp_path, "verify", "--potential", "rotated2", "--params", "gamma=0.6", "--saddle-seed", "0,0",
+        "--eps", "0.1", f"--grid-nodes={nodes}",
+    )
+    assert code == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("metastable verify: error: grid")
+    assert not (tmp_path / "verify.json").exists()
 
 
-@pytest.mark.parametrize("module", SCIPY_SUBMODULES)
-def test_importing_the_cli_leaves_scipy_unloaded(fresh_interpreter, module):
-    assert fresh_interpreter(
-        f"import json, sys, metastable.cli; print(json.dumps({module!r} in sys.modules))"
-    ) is False
+# no package module imports scipy, which costs up to a third of a second of
+# start-up: every module whose top-level name is scipy counts
+SCIPY_LOADED = 'sorted(m for m in sys.modules if m.split(".")[0] == "scipy")'
+
+
+def test_importing_the_cli_leaves_scipy_unloaded(fresh_interpreter):
+    assert fresh_interpreter(f"import json, sys, metastable.cli; print(json.dumps({SCIPY_LOADED}))") == []
 
 
 def test_classical_rate_and_simulate_load_no_scipy_submodule(fresh_interpreter, tmp_path):
@@ -1020,7 +1028,7 @@ codes = [
     main(["classify", "--potential", "rotated2", "--params", "gamma=0.5", "--seeds", "0,0",
           "--out", {str(tmp_path / "classify")!r}]),
 ]
-print(json.dumps([codes, sorted(m for m in {SCIPY_SUBMODULES!r} if m in sys.modules)]))
+print(json.dumps([codes, {SCIPY_LOADED}]))
 """
     assert fresh_interpreter(code) == [[0, 0, 0], []]
     assert (tmp_path / "rate" / "rate.json").exists()
@@ -1050,7 +1058,7 @@ warnings.simplefilter("ignore")
 codes = [
     {calls},
 ]
-print(json.dumps([codes, sorted(m for m in {SCIPY_SUBMODULES!r} if m in sys.modules)]))
+print(json.dumps([codes, {SCIPY_LOADED}]))
 """
     assert fresh_interpreter(code) == [[0] * len(runs), []]
     rates = json.loads((tmp_path / "rate" / "rate.json").read_text())["results"]
@@ -1076,7 +1084,7 @@ from metastable.cli import main
 codes = [
     {calls},
 ]
-print(json.dumps([codes, sorted(m for m in {SCIPY_SUBMODULES!r} if m in sys.modules)]))
+print(json.dumps([codes, {SCIPY_LOADED}]))
 """
     assert fresh_interpreter(code) == [[0] * len(runs), []]
     table = (tmp_path / "tabulate" / "special.csv").read_text().splitlines()

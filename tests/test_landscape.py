@@ -478,6 +478,18 @@ def test_communication_height_input_validation(rotated_quadratic, dw):
         communication_height_2d(rotated_quadratic, [0, 0], [1, 0], "not-a-grid")
 
 
+@pytest.mark.parametrize("bounds, shape, field", [
+    ([(-math.inf, 1.0), (-1.0, 1.0)], (65, 65), "xmin"),
+    ([(-1.0, 1.0), (-1.0, math.nan)], (65, 65), "ymax"),
+    ([(1.0, -1.0), (-1.0, 1.0)], (65, 65), "xmin = 1.0 exceeds xmax"),
+    ([(-1.0, 1.0), (-1.0, 1.0)], (0, 65), "nx"),
+    ([(-1.0, 1.0), (-1.0, 1.0)], (65, -3), "ny"),
+])
+def test_grid_spec_rejects_bad_fields_naming_them(rotated_quadratic, bounds, shape, field):
+    with pytest.raises(ValueError, match=f"^grid (bound|axis) {field}"):
+        communication_height_2d(rotated_quadratic, [0.0, 0.0], [0.5, 0.0], {"bounds": bounds, "shape": shape})
+
+
 # Full results on a 129^2 grid, recorded on the union-find sweep the current
 # search replaced.  Grid coordinates are -2.5 + k * 5/128, exact in binary, so
 # cells are pinned by index: gates all lie at x index 64 (x = 0) and the
@@ -600,11 +612,27 @@ def _sweep_oracle(V, ja, jb):
     return height, float(tol), gates or [(ti, tj)], path[::-1], height >= rim
 
 
+# cells tied at the height in dead ends off either basin, in flat order before
+# the trigger: the pass at (3, 3) with tied cells after it, and the endpoint
+# (4, 0) itself, active only from its own turn on
+_SPURS = [[0, 0, 2, 4, 2, 0, 0], [0, 0, 2, 4, 2, 0, 0], [0, 0, 0, 4, 0, 0, 0]]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     table=hnp.arrays(np.int8, st.tuples(st.integers(1, 33), st.integers(2, 33)), elements=st.integers(0, 4)),
     ends=st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1), st.floats(0, 1)),
 )
+@example(
+    table=np.array(_SPURS + [[0, 0, 0, 2, 0, 0, 0], [0, 0, 0, 4, 0, 0, 0], [0, 0, 0, 2, 0, 0, 0],
+                             [0, 0, 2, 4, 2, 0, 0]], dtype=np.int8),
+    ends=(1.0, 0.0, 1.0, 1.0),
+)
+@example(
+    table=np.array(_SPURS + [[0] * 7, [2, 4, 4, 4, 4, 4, 4], [4] * 7, [4] * 7], dtype=np.int8),
+    ends=(4.5 / 6, 0.0, 0.0, 1.0),
+)
+@example(table=np.array([[0, 3, 1, 4, 0]], dtype=np.int8), ends=(0.0, 0.0, 1.0, 1.0))  # x bounds (0, 0)
 def test_communication_height_matches_a_union_find_sweep(table, ends):
     # values on a coarse lattice force ties between cells and plateaus
     V = table * 0.375 - 0.5

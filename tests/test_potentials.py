@@ -364,6 +364,27 @@ def test_load_potential_rejects_bad_input():
         load_potential("chain", {"N": 2, "gamma": 0.5, "bogus": 1})
 
 
+@pytest.mark.parametrize("name, params, message", [
+    ("chain", {"gamma": 0.5}, "chain potential needs parameter 'N'"),
+    ("chain", {"N": 3}, "chain potential needs parameter 'gamma'"),
+    ("rotated2", {}, "rotated2 potential needs parameter 'gamma'"),
+    ("chain", {"N": 3, "gamma": 0.5, "bogus": 1}, "unexpected parameters for 'chain': ['bogus']"),
+    ("rotated2", {"gamma": 0.5, "N": 2}, "unexpected parameters for 'rotated2': ['N']"),
+    ("double_well", {"gamma": 0.5}, "unexpected parameters for 'double_well': ['gamma']"),
+])
+def test_builtin_reports_a_missing_or_extra_parameter(name, params, message):
+    for source in (name, {"name": name, "params": params}):
+        with pytest.raises(ValueError) as exc:
+            load_potential(source, params)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("name", [["chain"], {"chain": 1}, 3])
+def test_a_document_naming_no_builtin_is_rejected(name):
+    with pytest.raises(ValueError, match="unknown potential name"):
+        load_potential({"name": name, "params": {}})
+
+
 def test_chain_rejects_bad_parameters():
     with pytest.raises(ValueError):
         chain_potential(1, 0.5)
