@@ -45,6 +45,7 @@ from .rates import (
     UNIT_MINIMUM,
     MinimumSpec,
     SaddleSpec,
+    _check_positive,
     closed_rate,
     sweep_doublezero,
     sweep_longitudinal,
@@ -244,15 +245,13 @@ def _cmd_classify(ns, argv) -> int:
 
 def _cmd_rate(ns, argv) -> int:
     model = _load_model(ns)
-    if not ns.eps:
-        raise UsageError("--eps is required")
     out = _out_dir(ns)
     minimum = _converge(model, _parse_vector(ns.minimum_seed), "minimum")
     saddle = _converge(model, _parse_vector(ns.saddle_seed), "saddle")
     min_spec, spec, sc = _rate_specs(model, minimum, saddle)
     doc = {
         "classification": {"tag": sc.tag.value, "verdict": sc.verdict.value},
-        "results": [asdict(closed_rate(min_spec, spec, e)) for e in _parse_floats(ns.eps)],
+        "results": [asdict(closed_rate(min_spec, spec, e)) for e in ns.eps_values],
     }
     _write_json(out / "rate.json", doc)
     _write_manifest(out, ns, argv, ["rate.json"])
@@ -272,8 +271,6 @@ _SWEEP_OPTIONS = sorted({k for _, options in _SWEEPS.values() for k in options})
 
 
 def _cmd_sweep(ns, argv) -> int:
-    if not ns.eps:
-        raise UsageError("--eps is required")
     fn, options = _SWEEPS[ns.scenario]
     stray = [k for k in _SWEEP_OPTIONS if k not in options and getattr(ns, k) is not None]
     if stray:
@@ -282,7 +279,7 @@ def _cmd_sweep(ns, argv) -> int:
     out = _out_dir(ns)
     values = _parse_grid(ns.grid)
     kwargs = {k: getattr(ns, k) for k in options if getattr(ns, k) is not None}
-    rows = [row for eps in _parse_floats(ns.eps) for row in fn(eps, values, **kwargs)]
+    rows = [row for eps in ns.eps_values for row in fn(eps, values, **kwargs)]
     outputs = []
     if ns.format == "csv":
         _write_csv(out / "sweep.csv", SWEEP_FIELDS, ([row[f] for f in SWEEP_FIELDS] for row in rows))
@@ -298,8 +295,6 @@ def _cmd_verify(ns, argv) -> int:
     model = _load_model(ns)
     if model.dim not in _MAX_NODES:
         raise UsageError(f"capacity quadrature supports dimensions 1 to {max(_MAX_NODES)}")
-    if not ns.eps:
-        raise UsageError("--eps is required")
     out = _out_dir(ns)
     saddle = _converge(model, _parse_vector(ns.saddle_seed), "saddle")
     try:
@@ -308,7 +303,9 @@ def _cmd_verify(ns, argv) -> int:
         raise RuntimeError(str(exc)) from exc
     rows = []
     violation = None
-    for eps in _parse_floats(ns.eps):
+    # a 1-d model's exact capacity runs along the saddle's unstable axis, as both bounds do
+    x0, q0 = float(saddle.location[0]), float(saddle.eigenvectors[0, 0])
+    for eps in ns.eps_values:
         box = default_box(model, saddle, eps, scale=ns.box_scale)
         levels: dict = {}  # the row's per-level integrals, shared by both bounds
         upper = dirichlet_upper_bound(model, saddle, box, grid=ns.grid_nodes, levels=levels)
@@ -335,7 +332,7 @@ def _cmd_verify(ns, argv) -> int:
         }
         if model.dim == 1:
             exact = capacity_1d_exact(
-                lambda t: model.value(np.array([t])), -box.delta1, box.delta1, eps
+                lambda t: model.value(np.array([x0 + q0 * t])), -box.delta1, box.delta1, eps
             )
             row["exact_1d"] = exact.value
         rows.append(row)
@@ -351,12 +348,9 @@ def _cmd_verify(ns, argv) -> int:
 
 def _cmd_simulate(ns, argv) -> int:
     model = _load_model(ns)
-    if not ns.eps:
-        raise UsageError("--eps is required")
-    eps_list = _parse_floats(ns.eps)
-    if len(eps_list) != 1:
+    if len(ns.eps_values) != 1:
         raise UsageError("simulate takes exactly one eps")
-    eps = eps_list[0]
+    (eps,) = ns.eps_values
     out = _out_dir(ns)
     start = _parse_vector(ns.start)
     center = _parse_vector(ns.target)
@@ -500,11 +494,29 @@ def _build_parser(argv: list[str]) -> _Parser:
     return parser
 
 
+def _check_real_flags(ns, groups, own) -> None:
+    """Check the command's real-valued flags, naming each by its flag: every
+    ``--eps`` value (parsed into ``ns.eps_values``) and every ``type=float``
+    option, all of which are positive reals."""
+    if "eps" in groups:
+        ns.eps_values = _parse_floats(ns.eps or "")
+        if not ns.eps_values:
+            raise UsageError("--eps is required")
+        for value in ns.eps_values:
+            _check_positive(value, "--eps")
+    for flag, kwargs in own:
+        value = getattr(ns, flag[2:].replace("-", "_"))
+        if kwargs.get("type") is float and value is not None:
+            _check_positive(value, flag)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ns = _build_parser(argv).parse_args(argv)
+    handler, _, groups, own = _COMMANDS[ns.command]
     try:
-        return _COMMANDS[ns.command][0](ns, argv)
+        _check_real_flags(ns, groups, own)
+        return handler(ns, argv)
     except (UsageError, ValueError) as exc:
         print(f"metastable {ns.command}: error: {exc}", file=sys.stderr)
         return 1

@@ -535,10 +535,18 @@ def uniform_minimum_spectrum(N: int, gamma: float) -> list[tuple[int, float]]:
 # loading
 
 
+def _integral(value) -> int:
+    """An integral number (3 or 3.0) as an int; truncating 2.7 would change the model."""
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"must be an integral number, got {value!r}")
+    return int(number)
+
+
 # built-in family name -> (factory, its parameters as (name, converter)), in
 # the order the CLI help lists them
 _BUILTINS = {
-    "chain": (chain_potential, (("N", int), ("gamma", float))),
+    "chain": (chain_potential, (("N", _integral), ("gamma", float))),
     "rotated2": (rotated_two_particle, (("gamma", float),)),
     "double_well": (double_well_1d, ()),
 }
@@ -555,7 +563,13 @@ def _build_named(name: str, params: dict) -> PotentialModel:
         raise ValueError(f"{name} potential needs parameter {exc}") from None
     if params:
         raise ValueError(f"unexpected parameters for {name!r}: {sorted(params)}")
-    return factory(*(convert(value) for (_, convert), value in zip(spec, raw)))
+    args = []
+    for (key, convert), value in zip(spec, raw):
+        try:
+            args.append(convert(value))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{name} potential parameter {key}: {exc}") from None
+    return factory(*args)
 
 
 def load_potential(source, params: dict | None = None) -> PotentialModel:

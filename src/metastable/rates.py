@@ -60,7 +60,6 @@ __all__ = [
     "closed_rate",
     "UNIT_MINIMUM",
     "combine_gates",
-    "relative_discrepancy",
     "soft_window",
     "sweep_transverse",
     "sweep_longitudinal",
@@ -776,8 +775,7 @@ def doublezero_time(minimum: MinimumSpec, saddle: SaddleSpec, eps: float) -> Rat
         if _window_edge(-lam2, window):
             notes = (
                 "at the lower validity edge lambda2 = -sqrt(eps |log eps|); the "
-                "sombrero regime adjoins (compare against sombrero_time via "
-                "relative_discrepancy)",
+                "sombrero regime adjoins (compare against sombrero_time)",
             )
     prefactor = TWO_PI * math.sqrt(prod / (lam1 * minimum.det)) / denom
     if lam2 >= 0.0 and _window_edge(lam2, window):
@@ -863,21 +861,6 @@ def combine_gates(result: RateResult, count: int, *, arrangement: str = "paralle
         capacity=result.capacity / scale,
         notes=result.notes + (f"{count} identical gates in {arrangement}",),
     )
-
-
-def relative_discrepancy(a: RateResult, b: RateResult) -> float:
-    """Largest relative difference between two results' prefactor, capacity prefactor, and barrier."""
-    pairs = (
-        (a.prefactor, b.prefactor),
-        (a.capacity_prefactor, b.capacity_prefactor),
-        (a.barrier, b.barrier),
-    )
-    out = 0.0
-    for x, y in pairs:
-        scale = max(abs(x), abs(y))
-        if scale > 0.0:
-            out = max(out, abs(x - y) / scale)
-    return out
 
 
 # ---------------------------------------------------------------------------

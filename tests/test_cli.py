@@ -109,6 +109,17 @@ def test_classify_accepts_a_polynomial_json_file(tmp_path):
     assert rows[0]["tag"] == "NondegenerateSaddle"
 
 
+def test_classify_rejects_a_non_integral_chain_size(tmp_path, capsys):
+    code = run(tmp_path, "classify", "--potential", "chain", "--params", "N=2.7,gamma=0.5", "--seeds", "0,0")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "metastable classify: error: could not load potential: "
+        "chain potential parameter N: must be an integral number, got 2.7\n"
+    )
+    assert not (tmp_path / "classify.json").exists()
+
+
 def test_classify_without_seeds_exits_1(tmp_path):
     assert run(tmp_path, "classify", "--potential", "double_well") == 1
 
@@ -449,6 +460,22 @@ def test_verify_double_well_brackets_and_matches_the_exact_1d_route(tmp_path):
     assert row["ratios"]["lower_over_upper"] <= 1 + 1e-12
 
 
+def test_verify_exact_1d_runs_through_a_saddle_off_the_origin(tmp_path):
+    # a double well with minima at -0.5 and 1.5 and its saddle at 0.5
+    path = tmp_path / "shifted.json"
+    terms = [([4], 0.25), ([3], -0.5), ([2], -0.125), ([1], 0.375)]
+    path.write_text(json.dumps(
+        {"dimension": 1, "terms": [{"exponents": e, "coeff": c} for e, c in terms]}
+    ))
+    code = run(tmp_path, "verify", "--potential", str(path), "--saddle-seed=0.5", "--eps", "0.05,0.02")
+    assert code == 0
+    rows = read_json(tmp_path, "verify.json")["results"]
+    assert [row["eps"] for row in rows] == [0.05, 0.02]
+    for row in rows:
+        assert row["exact_1d"] == pytest.approx(row["lower"], rel=1e-6)
+        assert row["exact_1d"] == pytest.approx(row["upper"], rel=1e-6)
+
+
 def test_verify_rotated_two_particle_ratio_band(tmp_path):
     code = run(
         tmp_path,
@@ -552,12 +579,12 @@ _VERIFY_DW = ["verify", "--potential", "double_well", "--saddle-seed", "0"]
 @pytest.mark.parametrize(
     "argv, name",
     [
-        (_SIMULATE_DW + ["--eps", "inf", "--max-time", "10"], "eps"),
-        (_SIMULATE_DW + ["--eps", "0.3", "--radius", "inf", "--max-time", "10"], "radius"),
-        (_SIMULATE_DW + ["--eps", "0.3", "--max-time", "inf"], "max_time"),
-        (_VERIFY_DW + ["--eps", "0.05", "--box-scale", "inf"], "scale"),
-        (_VERIFY_DW + ["--eps", "inf"], "eps"),
-        (["classify", "--potential", "double_well", "--seeds", "0.3", "--tol", "inf"], "tol"),
+        (_SIMULATE_DW + ["--eps", "inf", "--max-time", "10"], "--eps"),
+        (_SIMULATE_DW + ["--eps", "0.3", "--radius", "inf", "--max-time", "10"], "--radius"),
+        (_SIMULATE_DW + ["--eps", "0.3", "--max-time", "inf"], "--max-time"),
+        (_VERIFY_DW + ["--eps", "0.05", "--box-scale", "inf"], "--box-scale"),
+        (_VERIFY_DW + ["--eps", "inf"], "--eps"),
+        (["classify", "--potential", "double_well", "--seeds", "0.3", "--tol", "inf"], "--tol"),
     ],
     ids=["simulate-eps", "simulate-radius", "simulate-max-time", "verify-box-scale", "verify-eps", "classify-tol"],
 )
@@ -567,6 +594,26 @@ def test_a_non_finite_positive_parameter_exits_1_with_one_line(tmp_path, capsys,
     assert err == f"metastable {argv[0]}: error: {name} must be a finite positive real number, got inf\n"
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert not (tmp_path / f"{argv[0]}.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rate", "--potential", "double_well", "--minimum-seed=-1", "--saddle-seed", "0"], "--eps is required"),
+    (["sweep", "--scenario", "transverse", "--grid", "0", "--eps", ","], "--eps is required"),
+    (_VERIFY_DW, "--eps is required"),
+    (_SIMULATE_DW + ["--max-time", "10"], "--eps is required"),
+    (["rate", "--potential", "double_well", "--minimum-seed=-1", "--saddle-seed", "0", "--eps", "0.1,-0.1"],
+     "--eps must be a finite positive real number, got -0.1"),
+    (_SIMULATE_DW + ["--eps", "0.3", "--dt", "0", "--max-time", "10"],
+     "--dt must be a finite positive real number, got 0.0"),
+    (["sweep", "--scenario", "transverse", "--grid", "0", "--eps", "0.1", "--quartic", "-1"],
+     "--quartic must be a finite positive real number, got -1.0"),
+    (["sweep", "--scenario", "doublezero", "--grid", "0", "--eps", "0.1", "--angular", "nan"],
+     "--angular must be a finite positive real number, got nan"),
+])
+def test_real_flags_are_checked_under_their_own_names(tmp_path, capsys, argv, message):
+    assert run(tmp_path, *argv) == 1
+    assert capsys.readouterr().err == f"metastable {argv[0]}: error: {message}\n"
+    assert not list(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------

@@ -379,6 +379,21 @@ def test_builtin_reports_a_missing_or_extra_parameter(name, params, message):
         assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("N", [2.7, 3.5, math.inf, math.nan, "three"])
+def test_a_non_integral_chain_size_is_rejected_not_truncated(N):
+    for source in ("chain", {"name": "chain"}):
+        with pytest.raises(ValueError, match="^chain potential parameter N: "):
+            load_potential(source, {"N": N, "gamma": 0.5})
+
+
+@pytest.mark.parametrize("source", ["chain", {"name": "chain"}])
+def test_an_integral_float_chain_size_builds_the_chain(source):
+    model = load_potential(source, {"N": 3.0, "gamma": 0.5})
+    assert type(model.N) is int and model.N == 3
+    x = np.array([0.3, -0.2, 0.9])
+    assert model.value(x) == load_potential("chain", {"N": 3, "gamma": 0.5}).value(x)
+
+
 @pytest.mark.parametrize("name", [["chain"], {"chain": 1}, 3])
 def test_a_document_naming_no_builtin_is_rejected(name):
     with pytest.raises(ValueError, match="unknown potential name"):
