@@ -2,9 +2,10 @@
 
 The central abstraction is :class:`PotentialModel`: an evaluable potential
 ``V : R^d -> R`` together with its gradient, Hessian and higher partial
-derivatives up to order four.  Built-in families (polynomials, the periodic
-particle chain) carry exact derivatives; anything else falls back to central
-finite differences with order-dependent step sizes.
+derivatives up to order four, all read from one method, ``_partials``.
+Built-in families (polynomials, the periodic particle chain) give exact
+derivatives there; anything else falls back to nested central differences
+with order-dependent step sizes.
 """
 
 from __future__ import annotations
@@ -45,9 +46,10 @@ def _fd_step(order: int, x: np.ndarray) -> float:
 class PotentialModel:
     """Base class: a smooth potential on R^d.
 
-    Subclasses must implement :meth:`value` and set :attr:`dim`.  Derivative
-    evaluators default to central finite differences and should be overridden
-    whenever exact expressions are available.
+    Subclasses must implement :meth:`value`.  :meth:`gradient`, :meth:`hessian`,
+    :meth:`partial` and the higher tensors all read :meth:`_partials`, which
+    defaults to nested central differences and should be overridden whenever
+    exact expressions are available.
 
     Parameters
     ----------
@@ -60,6 +62,7 @@ class PotentialModel:
             raise ValueError(f"dimension must be >= 1, got {dim}")
         self.dim = int(dim)
         self._tensor_layouts: dict = {}  # order -> (multisets, entry -> multiset)
+        self._axes = tuple((i,) for i in range(self.dim))
 
     # -- evaluation --------------------------------------------------------
 
@@ -74,38 +77,24 @@ class PotentialModel:
     # -- derivatives -------------------------------------------------------
 
     def gradient(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        h = _fd_step(1, x)
-        g = np.empty(self.dim)
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = h
-            g[i] = (self.value(x + e) - self.value(x - e)) / (2 * h)
-        return g
+        return self._partials(x, self._axes)
 
     def gradient_many(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return np.array([self.gradient(p) for p in pts])
 
     def hessian(self, x) -> np.ndarray:
+        return self._symmetric_tensor(x, 2)
+
+    def partial(self, x, dirs: tuple[int, ...]) -> float:
+        """Mixed partial derivative ∂_{dirs} V(x) (dirs lists axes, repeats allowed)."""
+        return float(self._partials(x, (tuple(dirs),))[0])
+
+    def _partials(self, x, multisets) -> np.ndarray:
+        """``∂_m V(x)`` for each multiset ``m`` of axes: the one source of every
+        derivative.  The default is nested central differences."""
         x = np.asarray(x, dtype=float)
-        h = _fd_step(2, x)
-        H = np.empty((self.dim, self.dim))
-        f0 = self.value(x)
-        for i in range(self.dim):
-            ei = np.zeros(self.dim)
-            ei[i] = h
-            H[i, i] = (self.value(x + ei) - 2 * f0 + self.value(x - ei)) / h**2
-            for j in range(i + 1, self.dim):
-                ej = np.zeros(self.dim)
-                ej[j] = h
-                H[i, j] = H[j, i] = (
-                    self.value(x + ei + ej)
-                    - self.value(x + ei - ej)
-                    - self.value(x - ei + ej)
-                    + self.value(x - ei - ej)
-                ) / (4 * h**2)
-        return 0.5 * (H + H.T)
+        return np.array([self._fd_nested(x, m, _fd_step(len(m), x)) for m in multisets])
 
     def _fd_nested(self, x: np.ndarray, dirs: tuple[int, ...], h: float) -> float:
         # Nested central differences; the stencil is permutation-symmetric.
@@ -116,22 +105,6 @@ class PotentialModel:
         return (
             self._fd_nested(x + e, dirs[1:], h) - self._fd_nested(x - e, dirs[1:], h)
         ) / (2 * h)
-
-    def partial(self, x, dirs: tuple[int, ...]) -> float:
-        """Mixed partial derivative ∂_{dirs} V(x) (dirs lists axes, repeats allowed)."""
-        x = np.asarray(x, dtype=float)
-        k = len(dirs)
-        if k == 0:
-            return self.value(x)
-        if k == 1:
-            return self.gradient(x)[dirs[0]]
-        if k == 2:
-            return self.hessian(x)[dirs[0], dirs[1]]
-        return self._fd_nested(x, tuple(dirs), _fd_step(k, x))
-
-    def _partials(self, x, multisets) -> np.ndarray:
-        """``partial(x, m)`` for each multiset ``m`` of axes."""
-        return np.array([self.partial(x, m) for m in multisets])
 
     def _symmetric_tensor(self, x, order: int) -> np.ndarray:
         # one partial per multiset of axes, copied to all its permutations by
@@ -189,13 +162,15 @@ class PolynomialPotential(PotentialModel):
             if not terms:
                 raise ValueError("cannot infer dimension from an empty term list")
             dim = len(terms[0][0])
-        for exps, _ in terms:
+        for exps, c in terms:
             if len(exps) != dim:
                 raise ValueError(
                     f"exponent vector {exps} has length {len(exps)}, expected {dim}"
                 )
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
+            if not math.isfinite(c):
+                raise ValueError(f"non-finite coefficient {c!r}")
         super().__init__(dim)
         merged: dict[tuple[int, ...], float] = {}
         for exps, c in terms:
@@ -206,7 +181,6 @@ class PolynomialPotential(PotentialModel):
         # x_i**e sits in row e*d + i of the flattened power table
         self._polys = {(): (self.exponents * dim + np.arange(dim), self.coefficients)}
         self._stacks: dict = {}
-        self._axes = tuple((i,) for i in range(dim))
         self._value_stack, self._gradient_stack = self._stack(((),)), self._stack(self._axes)
 
     def _poly(self, dirs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -263,17 +237,8 @@ class PolynomialPotential(PotentialModel):
     def value_many(self, pts: np.ndarray) -> np.ndarray:
         return self._evaluate(np.atleast_2d(np.asarray(pts, dtype=float)), self._value_stack)[:, 0]
 
-    def gradient(self, x) -> np.ndarray:
-        return self._partials(x, self._axes)
-
     def gradient_many(self, pts: np.ndarray) -> np.ndarray:
         return self._evaluate(np.atleast_2d(np.asarray(pts, dtype=float)), self._gradient_stack)
-
-    def partial(self, x, dirs: tuple[int, ...]) -> float:
-        return float(self._partials(x, (tuple(dirs),))[0])
-
-    def hessian(self, x) -> np.ndarray:
-        return self._symmetric_tensor(x, 2)
 
     # -- serialization -----------------------------------------------------
 
@@ -281,14 +246,28 @@ class PolynomialPotential(PotentialModel):
     def from_dict(cls, doc: dict) -> "PolynomialPotential":
         if "dimension" not in doc or "terms" not in doc:
             raise ValueError("polynomial document needs 'dimension' and 'terms'")
-        dim = int(doc["dimension"])
-        terms = []
-        for t in doc["terms"]:
-            exps, coeff = t["exponents"], float(t["coeff"])
-            if not math.isfinite(coeff):
-                raise ValueError(f"non-finite coefficient {coeff!r}")
-            terms.append((exps, coeff))
-        return cls(terms, dim=dim)
+        terms = [(t["exponents"], t["coeff"]) for t in doc["terms"]]
+        return cls(terms, dim=int(doc["dimension"]))
+
+
+def _integral(value) -> int:
+    """An integral number (3 or 3.0) as an int; truncating 2.7 would change the model."""
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"must be an integral number, got {value!r}")
+    return int(number)
+
+
+def _chain_size(N) -> int:
+    """The particle count ``N`` as an int, or ``ValueError`` naming N unless it
+    is an integral number of at least 2."""
+    try:
+        N = _integral(N)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"chain size N: {exc}") from None
+    if N < 2:
+        raise ValueError(f"chain size N must be >= 2, got {N}")
+    return N
 
 
 class ChainPotential(PotentialModel):
@@ -304,13 +283,12 @@ class ChainPotential(PotentialModel):
     """
 
     def __init__(self, N: int, gamma: float):
-        if N < 2:
-            raise ValueError(f"chain needs N >= 2 particles, got {N}")
-        if gamma < 0:
-            raise ValueError(f"coupling gamma must be >= 0, got {gamma}")
-        super().__init__(dim=int(N))
-        self.N = int(N)
-        self.gamma = float(gamma)
+        N, gamma = _chain_size(N), float(gamma)
+        if not 0.0 <= gamma < math.inf:
+            raise ValueError(f"coupling gamma must be finite and >= 0, got {gamma!r}")
+        super().__init__(dim=N)
+        self.N = N
+        self.gamma = gamma
         L = np.zeros((N, N))
         for i in range(N):
             L[i, i] += 1.0
@@ -357,22 +335,18 @@ class ChainPotential(PotentialModel):
         x = np.asarray(x, dtype=float)
         return np.diag(3.0 * x**2 - 1.0) + self.gamma * self._laplacian
 
-    def partial(self, x, dirs: tuple[int, ...]) -> float:
-        k = len(dirs)
-        if k == 0:
-            return self.value(x)
-        if k == 1:
-            return float(self.gradient(x)[dirs[0]])
-        if k == 2:
-            return float(self.hessian(x)[dirs[0], dirs[1]])
-        if len(set(dirs)) != 1:
-            return 0.0
+    def _partials(self, x, multisets) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if k == 3:
-            return 6.0 * float(x[dirs[0]])
-        if k == 4:
-            return 6.0
-        return 0.0
+        out = np.zeros(len(multisets))
+        for k, m in enumerate(multisets):
+            if not m:
+                out[k] = self.value(x)
+            elif len(m) <= 2:
+                out[k] = (self.gradient(x) if len(m) == 1 else self.hessian(x))[m]
+            elif len(m) <= 4 and len(set(m)) == 1:
+                # the on-site quartic is the only term of order 3 or 4
+                out[k] = 6.0 * x[m[0]] if len(m) == 3 else 6.0
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +441,9 @@ def rotated_two_particle(gamma: float) -> PolynomialPotential:
     At ``gamma = 1/2`` the y2-quadratic term vanishes and the origin becomes a
     degenerate saddle with a quartic transverse direction.
     """
+    gamma = float(gamma)
+    if not math.isfinite(gamma):
+        raise ValueError(f"coupling gamma must be finite, got {gamma!r}")
     return PolynomialPotential(
         [
             ((2, 0), -0.5),
@@ -495,8 +472,7 @@ def fourier_eigenvalues(N: int, gamma: float) -> list[tuple[int, float]]:
     ``eta_k = -1 + 2*gamma*sin^2(k*pi/N)`` for k in the complete residue
     system ``-ceil(N/2)+1 .. floor(N/2)``; eta_0 = -1 always.
     """
-    if N < 2:
-        raise ValueError(f"need N >= 2, got {N}")
+    N = _chain_size(N)
     return [
         (k, -1.0 + 2.0 * gamma * math.sin(k * math.pi / N) ** 2)
         for k in _fourier_modes(N)
@@ -509,6 +485,7 @@ def critical_coupling(N: int) -> float:
     Defined for N >= 3 (``1/(2 sin^2(pi/N))``).  For N=2 the analogous
     threshold is the constant :data:`TWO_PARTICLE_CRITICAL_COUPLING`.
     """
+    N = _chain_size(N)
     if N < 3:
         raise ValueError(
             "critical_coupling is defined for N >= 3; "
@@ -523,8 +500,7 @@ def uniform_minimum_spectrum(N: int, gamma: float) -> list[tuple[int, float]]:
     ``nu_k = 2 + 2*gamma*sin^2(k*pi/N)`` over the same mode range as
     :func:`fourier_eigenvalues`; valid for every chain size ``N >= 2``.
     """
-    if N < 2:
-        raise ValueError(f"need N >= 2, got {N}")
+    N = _chain_size(N)
     return [
         (k, 2.0 + 2.0 * gamma * math.sin(k * math.pi / N) ** 2)
         for k in _fourier_modes(N)
@@ -533,14 +509,6 @@ def uniform_minimum_spectrum(N: int, gamma: float) -> list[tuple[int, float]]:
 
 # ---------------------------------------------------------------------------
 # loading
-
-
-def _integral(value) -> int:
-    """An integral number (3 or 3.0) as an int; truncating 2.7 would change the model."""
-    number = float(value)
-    if not number.is_integer():
-        raise ValueError(f"must be an integral number, got {value!r}")
-    return int(number)
 
 
 # built-in family name -> (factory, its parameters as (name, converter)), in

@@ -27,6 +27,7 @@ with ``det_min`` the Hessian determinant at the starting minimum, and
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass, replace
 from operator import attrgetter
@@ -428,6 +429,10 @@ def _setup(
     return eps, saddle.regime, None if lam1 is None else float(lam1), saddle.stable_product
 
 
+# the RateResult.error_order strings, and below them their one reader,
+# _error_magnitude, which sampling.validate turns into a tolerance
+
+
 def _flat_error(p: int) -> str:
     return f"eps^(1/{2 * p}) |log eps|^({2 * p + 1}/{2 * p})"
 
@@ -437,6 +442,30 @@ def _crossover_error(symbol: str) -> str:
 
 
 _CLASSICAL_ERROR = "eps^(1/2) |log eps|"
+
+
+_POWER_FORM = re.compile(
+    r"eps\^\((\d+)/(\d+)\) \|log eps\|(?:\^\((\d+)/(\d+)\))?"
+)
+
+
+def _error_magnitude(order: str, eps: float) -> float:
+    """Numeric value of a relative-error order string with unit constant.
+
+    Crossover-regime orders contain ``max(<soft parameter>, sqrt(eps |log
+    eps|))``; the soft parameter is not known here, so the floor of the max is
+    substituted, which yields the largest (most permissive) admissible order
+    ``eps^(1/4) |log eps|^(5/4)``.
+    """
+    log_term = abs(math.log(eps))
+    if order.startswith("(eps |log eps|^3 / max("):
+        return math.sqrt(eps * log_term**3 / math.sqrt(eps * log_term))
+    m = _POWER_FORM.fullmatch(order)
+    if m:
+        a, b, c, d = m.groups()
+        log_power = float(c) / float(d) if c else 1.0
+        return eps ** (float(a) / float(b)) * log_term**log_power
+    raise ValueError(f"cannot evaluate error order {order!r}")
 
 
 def soft_window(eps: float) -> float:

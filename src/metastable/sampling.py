@@ -33,7 +33,6 @@ numpy's pairwise summation, so reduction order is fixed.
 from __future__ import annotations
 
 import math
-import re
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -42,7 +41,7 @@ import numpy as np
 
 from .landscape import _finite_or_null
 from .potentials import PotentialModel
-from .rates import RateResult, _check_positive
+from .rates import RateResult, _check_positive, _error_magnitude
 
 __all__ = [
     "MAX_CENSORED_FRACTION",
@@ -90,7 +89,8 @@ def default_dt(model: PotentialModel, eps: float, points: Sequence) -> float:
 
     The curvature scan covers the Hessian spectra at ``points`` (typically the
     start and the target centers), so the step resolves both the local
-    relaxation times and the noise scale.
+    relaxation times and the noise scale.  A spectrum that is zero at every
+    point gives the cap 1e-3; a Hessian that is not finite is a ``ValueError``.
     """
     eps = _check_positive(eps, "eps")
     points = [np.asarray(p, dtype=float) for p in points]
@@ -99,8 +99,13 @@ def default_dt(model: PotentialModel, eps: float, points: Sequence) -> float:
             raise ValueError(
                 f"point {p.tolist()} has dimension {p.size}, the potential has dimension {model.dim}"
             )
-    lam = max(float(np.max(np.abs(np.linalg.eigvalsh(model.hessian(p))))) for p in points)
-    return min(1e-3, eps / (20.0 * lam))
+    lam = 0.0
+    for p in points:
+        H = model.hessian(p)
+        if not np.all(np.isfinite(H)):
+            raise ValueError(f"the Hessian at point {p.tolist()} is not finite")
+        lam = max(lam, float(np.max(np.abs(np.linalg.eigvalsh(H)))))
+    return min(1e-3, eps / (20.0 * lam)) if lam else 1e-3
 
 
 @dataclass(frozen=True)
@@ -344,30 +349,6 @@ def simulate_first_hitting(
         times=kept,
         statuses=statuses,
     )
-
-
-_POWER_FORM = re.compile(
-    r"eps\^\((\d+)/(\d+)\) \|log eps\|(?:\^\((\d+)/(\d+)\))?"
-)
-
-
-def _error_magnitude(order: str, eps: float) -> float:
-    """Numeric value of a relative-error order string with unit constant.
-
-    Crossover-regime orders contain ``max(<soft parameter>, sqrt(eps |log
-    eps|))``; the soft parameter is not known here, so the floor of the max is
-    substituted, which yields the largest (most permissive) admissible order
-    ``eps^(1/4) |log eps|^(5/4)``.
-    """
-    log_term = abs(math.log(eps))
-    if order.startswith("(eps |log eps|^3 / max("):
-        return math.sqrt(eps * log_term**3 / math.sqrt(eps * log_term))
-    m = _POWER_FORM.fullmatch(order)
-    if m:
-        a, b, c, d = m.groups()
-        log_power = float(c) / float(d) if c else 1.0
-        return eps ** (float(a) / float(b)) * log_term**log_power
-    raise ValueError(f"cannot evaluate error order {order!r}")
 
 
 def validate(

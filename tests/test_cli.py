@@ -120,6 +120,21 @@ def test_classify_rejects_a_non_integral_chain_size(tmp_path, capsys):
     assert not (tmp_path / "classify.json").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "--potential", "rotated2", "--params", "gamma=nan", "--seeds", "0.1,0.1"],
+     "coupling gamma must be finite, got nan"),
+    (["simulate", "--potential", "rotated2", "--params", "gamma=nan", "--eps", "0.3", "--start=-1.4,0",
+      "--target", "1.4,0", "--max-time", "5", "--replicas", "4"],
+     "coupling gamma must be finite, got nan"),
+    (["classify", "--potential", "chain", "--params", "N=3,gamma=nan", "--seeds", "0,0,0"],
+     "coupling gamma must be finite and >= 0, got nan"),
+])
+def test_a_non_finite_coupling_exits_1_with_one_line(tmp_path, capsys, argv, message):
+    assert run(tmp_path, *argv) == 1
+    assert capsys.readouterr().err == f"metastable {argv[0]}: error: could not load potential: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_classify_without_seeds_exits_1(tmp_path):
     assert run(tmp_path, "classify", "--potential", "double_well") == 1
 
@@ -718,6 +733,24 @@ def test_simulate_with_one_hit_writes_strict_json(tmp_path):
     assert doc["validation"]["z_score"] is None
     expected = doc["prediction"]["expected_time"]
     assert doc["validation"]["ratio"] == pytest.approx(est["mean"] / expected)
+
+
+def test_simulate_on_a_potential_without_curvature_takes_the_capped_step(tmp_path):
+    path = tmp_path / "linear.json"
+    path.write_text(json.dumps({"dimension": 1, "terms": [{"exponents": [1], "coeff": 1.0}]}))
+    code = run(tmp_path, *simulate_args(**{"--potential": str(path), "--start": "0", "--target": "-1",
+                                           "--dt": None, "--max-time": "10", "--replicas": "4"}))
+    assert code == 0
+    doc = read_strict_json(tmp_path, "simulate.json")
+    assert doc["dt"] == 1e-3
+    assert doc["estimate"]["hits"] == 4
+
+
+def test_simulate_from_a_point_with_a_non_finite_hessian_exits_1(tmp_path, capsys):
+    code = run(tmp_path, *simulate_args(**{"--start": "inf", "--dt": None, "--replicas": "3"}))
+    assert code == 1
+    assert capsys.readouterr().err == "metastable simulate: error: the Hessian at point [inf] is not finite\n"
+    assert not (tmp_path / "simulate.json").exists()
 
 
 def test_simulate_zero_replicas_exits_1(tmp_path):

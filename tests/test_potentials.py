@@ -329,6 +329,43 @@ def test_function_potential_wraps_callables():
     assert np.allclose(model.hessian(x), np.diag([2.0, 4.0]), atol=1e-4)
 
 
+def _wrapped(model):
+    """The model's value as a plain callable: every derivative by finite differences."""
+    return FunctionPotential(model.value, dim=model.dim)
+
+
+DERIVATIVE_PATH_MODELS = {
+    "rotated2": lambda: rotated_two_particle(0.6),
+    "chain3": lambda: chain_potential(3, 0.5),
+    "wrapped_rotated2": lambda: _wrapped(rotated_two_particle(0.6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DERIVATIVE_PATH_MODELS))
+def test_partial_is_the_entry_of_the_tensor_of_its_order_bit_for_bit(name):
+    model = DERIVATIVE_PATH_MODELS[name]()
+    for x in np.random.default_rng(5).uniform(-1.5, 1.5, size=(3, model.dim)):
+        tensors = (model.gradient(x), model.hessian(x), model.third_tensor(x), model.fourth_tensor(x))
+        for order, tensor in enumerate(tensors, start=1):
+            for m in itertools.combinations_with_replacement(range(model.dim), order):
+                assert model.partial(x, m) == tensor[m], m
+
+
+# largest absolute error of the nested central differences against the exact
+# gradient, Hessian, third and fourth tensors
+_FD_BOUNDS = {"gradient": 1e-9, "hessian": 1e-6, "third_tensor": 1e-6, "fourth_tensor": 1e-5}
+
+
+@pytest.mark.parametrize("name", ["rotated2", "poly3"])
+def test_finite_differences_give_every_order_within_a_fixed_bound(name):
+    exact = GATHER_MODELS[name]()
+    model = _wrapped(exact)
+    for x in np.random.default_rng(5).uniform(-1.5, 1.5, size=(3, model.dim)):
+        for method, bound in _FD_BOUNDS.items():
+            error = np.max(np.abs(getattr(model, method)(x) - getattr(exact, method)(x)))
+            assert error <= bound, (method, error)
+
+
 def test_load_potential_builtins_and_files(tmp_path):
     assert load_potential("double_well").dim == 1
     chain = load_potential("chain", {"N": 3, "gamma": 0.5})
@@ -405,3 +442,32 @@ def test_chain_rejects_bad_parameters():
         chain_potential(1, 0.5)
     with pytest.raises(ValueError):
         chain_potential(3, -0.1)
+
+
+@pytest.mark.parametrize("build, args, message", [
+    (chain_potential, (3.5, 0.5), "chain size N: must be an integral number, got 3.5"),
+    (chain_potential, (2.7, 0.5), "chain size N: must be an integral number, got 2.7"),
+    (chain_potential, (math.inf, 0.5), "chain size N: must be an integral number, got inf"),
+    (critical_coupling, (3.5,), "chain size N: must be an integral number, got 3.5"),
+    (fourier_eigenvalues, (3.5, 0.5), "chain size N: must be an integral number, got 3.5"),
+    (uniform_minimum_spectrum, (math.nan, 0.5), "chain size N: must be an integral number, got nan"),
+    (uniform_minimum_spectrum, (1, 0.5), "chain size N must be >= 2, got 1"),
+    (chain_potential, (3, math.nan), "coupling gamma must be finite and >= 0, got nan"),
+    (chain_potential, (3, math.inf), "coupling gamma must be finite and >= 0, got inf"),
+    (rotated_two_particle, (math.nan,), "coupling gamma must be finite, got nan"),
+    (PolynomialPotential, ([((2,), 0.5), ((4,), -math.inf)],), "non-finite coefficient -inf"),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_builtin_family_parameters_are_checked_where_the_model_is_built(build, args, message):
+    with pytest.raises(ValueError) as exc:
+        build(*args)
+    assert str(exc.value) == message
+
+
+def test_an_integral_float_chain_size_is_the_integer_everywhere():
+    chain = chain_potential(3.0, 0.5)
+    assert type(chain.N) is int and chain.N == chain.dim == 3
+    x = np.array([0.3, -0.2, 0.9])
+    assert chain.value(x) == chain_potential(3, 0.5).value(x)
+    assert critical_coupling(3.0) == critical_coupling(3)
+    assert fourier_eigenvalues(3.0, 0.5) == fourier_eigenvalues(3, 0.5)
+    assert uniform_minimum_spectrum(3.0, 0.5) == uniform_minimum_spectrum(3, 0.5)

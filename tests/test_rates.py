@@ -38,6 +38,7 @@ from metastable import (
     sweep_sombrero,
     sweep_transverse,
 )
+from metastable.rates import _REGIMES, _error_magnitude
 
 TWO_PI = 2.0 * math.pi
 
@@ -265,6 +266,22 @@ def test_capacity_prefactor_derivation_keeps_the_float_range(index):
 @pytest.mark.parametrize("op,minimum,saddle", all_regime_cases())
 def test_closed_rate_runs_the_operation_of_the_regime(op, minimum, saddle):
     assert closed_rate(minimum, saddle, 0.05) == op(minimum, saddle, 0.05)
+
+
+def test_every_regime_writes_an_error_order_that_rates_reads():
+    # all_regime_cases() and the negative branch of the double zero
+    cases = [*all_regime_cases(), (doublezero_time, CHAIN3_MIN, SaddleSpec(0.1, DoubleZero(-0.01, 0.25), (), 1.7))]
+    assert {type(saddle.regime) for _, _, saddle in cases} == set(_REGIMES)
+    tags = set()
+    for eps in (0.05, 0.01):
+        for op, minimum, saddle in cases:
+            result = op(minimum, saddle, eps)
+            tags.add(result.regime_tag)
+            magnitude = _error_magnitude(result.error_order, eps)
+            assert 0.0 < magnitude < math.inf, result.error_order
+            if op is ek_classical:
+                assert magnitude == pytest.approx(math.sqrt(eps) * abs(math.log(eps)), rel=1e-15)
+    assert {"pitchfork-transverse-split", "pitchfork-longitudinal-split", "doublezero-negative"} <= tags
 
 
 def test_unknown_regime_types_are_rejected():

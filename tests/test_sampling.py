@@ -30,7 +30,8 @@ from metastable import (
     validate,
     write_times_csv,
 )
-from metastable.sampling import _CHUNK_STEPS, _dist2, _error_magnitude
+from metastable.rates import _error_magnitude
+from metastable.sampling import _CHUNK_STEPS, _dist2
 
 WELL = Ball(center=(1.0,), radius=0.2)
 SQ2 = math.sqrt(2.0)
